@@ -20,8 +20,8 @@ from structind.semantics import (
     GroundEnv,
     Sampled,
     check_principle,
-    enumerate_terms,
     format_ground_term,
+    universe_size,
 )
 
 SWEEP = [
@@ -54,7 +54,7 @@ def run_sweep(samples, seed):
         env = GroundEnv(carriers)
         for pointed in (False, True):
             principle = induction_principle(decl, GenOptions(pointed=pointed))
-            size = len(enumerate_terms(decl, env, depth, pointed))
+            size = universe_size(decl, env, depth, pointed)
             mode, how = mode_for(size, samples, seed)
             report = check_principle(principle, env, depth, mode)
             label = f"{decl.type_name}{' pointed' if pointed else ''}"
@@ -84,7 +84,7 @@ def run_mutations(samples, seed):
             mutant = delete_clause(decl, index)
             outcome = "SURVIVED"
             for depth in range(1, MAX_KILL_DEPTH + 1):
-                size = len(enumerate_terms(decl, env, depth))
+                size = universe_size(decl, env, depth)
                 mode, _ = mode_for(size, samples, seed)
                 report = check_principle(mutant, env, depth, mode)
                 if not report.passed:

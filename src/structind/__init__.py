@@ -71,6 +71,7 @@ from .semantics import (
     check_soundness,
     enumerate_terms,
     immediate_subterms,
+    universe_size,
 )
 
 __version__ = "0.1.0"

@@ -20,8 +20,9 @@ from .semantics import (
     Sampled,
     UnsupportedTypeError,
     check_principle,
-    enumerate_terms,
+    enumerate_terms,  # noqa: F401 -- kept importable here: perfbench/tracing.py patches it
     format_ground_term,
+    universe_size,
 )
 
 _RENDERERS = {"text": render_text, "latex": render_latex, "sexpr": render_sexpr}
@@ -75,16 +76,20 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     sources: list[tuple[str, str]] = []
-    if args.files:
-        for path in args.files:
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    sources.append((path, handle.read()))
-            except OSError as e:
-                print(f"structind: error: {e}", file=sys.stderr)
-                return 1
-    else:
-        sources.append(("<stdin>", sys.stdin.read()))
+    name = "<stdin>"
+    try:
+        if args.files:
+            for name in args.files:
+                with open(name, encoding="utf-8") as handle:
+                    sources.append((name, handle.read()))
+        else:
+            sources.append((name, sys.stdin.read()))
+    except OSError as e:
+        print(f"structind: error: {e}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as e:
+        print(f"structind: error: {name}: not UTF-8 text: {e}", file=sys.stderr)
+        return 1
 
     decls = []
     for name, text in sources:
@@ -115,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.check:
             env = GroundEnv.default_for(decl)
             try:
-                universe = enumerate_terms(decl, env, args.depth, opts.pointed)
+                size = universe_size(decl, env, args.depth, opts.pointed)
             except UnsupportedTypeError as e:
                 print(
                     f"warning: skipping soundness check for {decl.type_name}: {e}",
@@ -123,7 +128,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 summaries.append(f"{decl.type_name}: skipped ({e})")
                 continue
-            size = len(universe)
             if size <= EXHAUSTIVE_LIMIT:
                 mode = Exhaustive()
                 how = f"exhaustive {1 << size} predicates"

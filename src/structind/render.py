@@ -4,9 +4,11 @@ Text and LaTeX share one layout: the top-level connective after the
 leading quantifier chain stays bare, nested conjunctions and implications
 parenthesize themselves, predicate and constructor applications are always
 parenthesized, and a quantifier body extends as far right as its context
-allows. When a term or predicate binder shadows a type variable in scope,
-its displayed name gets "0" appended until it is distinct; the underlying
-AST is untouched, and the s-expression format never renames.
+allows. A quantified antecedent of an implication is parenthesized, so
+that a one-constructor type's clause does not read as part of the
+leading chain. When a term or predicate binder shadows a type variable
+in scope, its displayed name gets "0" appended until it is distinct; the
+underlying AST is untouched, and the s-expression format never renames.
 """
 
 from __future__ import annotations
@@ -137,9 +139,10 @@ def _formula(
         )
         return s if top else f"({s})"
     if isinstance(f, Implies):
-        s = _formula(f.antecedent, st, False, tscope, ren) + st.implies + _formula(
-            f.consequent, st, False, tscope, ren
-        )
+        antecedent = _formula(f.antecedent, st, False, tscope, ren)
+        if isinstance(f.antecedent, Forall):
+            antecedent = f"({antecedent})"
+        s = antecedent + st.implies + _formula(f.consequent, st, False, tscope, ren)
         return s if top else f"({s})"
     if isinstance(f, Forall):
         if isinstance(f.sort, OfKindStar):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping, Optional
 
 from .core import (
@@ -106,10 +107,26 @@ class Atom:
 
 @dataclass(frozen=True)
 class Node:
-    """A constructor applied to ground children."""
+    """A constructor applied to ground children.
+
+    The hash is the dataclass hash of `(ctor, children)`, computed once
+    when the node is built from the children's own stored hashes, so
+    hashing a node costs O(arity) instead of O(term size).
+    """
 
     ctor: str
     children: tuple[GroundTerm, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.ctor, self.children)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes, so a stored hash must not
+        # travel in a pickle: unpickling rebuilds the node and rehashes it.
+        return Node, (self.ctor, self.children)
 
 
 @dataclass(frozen=True)
@@ -142,7 +159,13 @@ def format_ground_term(t: GroundTerm) -> str:
     return "(" + " ".join([t.ctor] + [format_ground_term(c) for c in t.children]) + ")"
 
 
-def _check_fragment(decl: DataDecl) -> None:
+def _argument_slots(
+    decl: DataDecl, env: GroundEnv, depth_bound: int
+) -> list[tuple[str, list[Optional[list[Atom]]]]]:
+    """Each constructor's name and, per argument, its carrier atoms or None
+    for a recursive position; raises as enumeration does on bad input."""
+    if depth_bound < 1:
+        raise ValueError("depth bound must be at least 1")
     for ctor in decl.constructors:
         for i, ty in enumerate(ctor.arg_types, start=1):
             if isinstance(ty, Var):
@@ -154,6 +177,33 @@ def _check_fragment(decl: DataDecl) -> None:
                 f"type '{type_source(ty)}' is neither a type parameter nor "
                 f"an application of {decl.type_name!r}"
             )
+    atoms = {p: [Atom(label, p) for label in env.carrier(p)] for p in decl.type_params}
+    return [
+        (ctor.name, [atoms[ty.name] if isinstance(ty, Var) else None for ty in ctor.arg_types])
+        for ctor in decl.constructors
+    ]
+
+
+def universe_size(
+    decl: DataDecl, env: GroundEnv, depth_bound: int, pointed: bool = False
+) -> int:
+    """len(enumerate_terms(decl, env, depth_bound, pointed)), counted without
+    building a term; raises exactly as enumerate_terms does.
+
+    A constructor with k recursive arguments and A atom combinations adds
+    A * (S[d-1]**k - S[d-2]**k) terms to layer d >= 2, where S[d] counts
+    the terms of depth at most d; with k = 0 it adds A terms to layer 1.
+    """
+    shapes = [
+        (prod(len(atoms) for atoms in slots if atoms is not None), slots.count(None))
+        for _, slots in _argument_slots(decl, env, depth_bound)
+    ]
+    older, total = 0, int(pointed) + sum(a for a, k in shapes if k == 0)
+    for _ in range(2, depth_bound + 1):
+        if total == older:  # an empty layer has no deeper terms above it
+            break
+        older, total = total, total + sum(a * (total**k - older**k) for a, k in shapes if k)
+    return total
 
 
 def enumerate_terms(
@@ -162,40 +212,51 @@ def enumerate_terms(
     """All ground terms up to the depth bound, in canonical order.
 
     Order is by depth, then constructor declaration order (the bottom term
-    first in pointed mode), then children lexicographically. Depth counts
-    constructor nesting only: atoms and the bottom term have depth 1, and a
-    node is one deeper than its deepest child of the declared type.
+    first in pointed mode), then children lexicographically by universe
+    position. Depth counts constructor nesting only: atoms and the bottom
+    term have depth 1, and a node is one deeper than its deepest child of
+    the declared type. Layer d is built only from children of depth below
+    d with at least one child in layer d - 1.
     """
-    if depth_bound < 1:
-        raise ValueError("depth bound must be at least 1")
-    _check_fragment(decl)
-    atoms = {p: [Atom(label, p) for label in env.carrier(p)] for p in decl.type_params}
-    universe: list[GroundTerm] = []
-    depth_of: dict[GroundTerm, int] = {}
-    for d in range(1, depth_bound + 1):
-        layer: list[GroundTerm] = []
-        if pointed and d == 1:
-            layer.append(BottomTerm())
-        for ctor in decl.constructors:
-            choices: list[list[GroundTerm]] = []
-            recursive: list[bool] = []
-            for ty in ctor.arg_types:
-                if isinstance(ty, Var):
-                    choices.append(atoms[ty.name])
-                    recursive.append(False)
-                else:
-                    choices.append(list(universe))
-                    recursive.append(True)
-            for combo in product(*choices):
-                rec_depth = max(
-                    (depth_of[c] for c, r in zip(combo, recursive) if r), default=0
-                )
-                if rec_depth + 1 == d:
-                    layer.append(Node(ctor.name, combo))
-        for t in layer:
-            depth_of[t] = d
-            universe.append(t)
+    ctors = _argument_slots(decl, env, depth_bound)
+    universe: list[GroundTerm] = [BottomTerm()] if pointed else []
+    for name, slots in ctors:
+        if None not in slots:
+            universe.extend(Node(name, combo) for combo in product(*slots))
+    start = 0  # universe[start:] is the newest layer
+    for _ in range(2, depth_bound + 1):
+        end = len(universe)
+        if start == end:
+            break
+        old, new, below = universe[:start], universe[start:end], universe[:end]
+        for name, slots in ctors:
+            if None in slots:
+                universe.extend(Node(name, combo) for combo in _layer_children(slots, old, new, below))
+        start = end
     return universe
+
+
+def _layer_children(
+    slots: list[Optional[list[Atom]]],
+    old: list[GroundTerm],
+    new: list[GroundTerm],
+    below: list[GroundTerm],
+) -> list[tuple[GroundTerm, ...]]:
+    """Argument tuples, in lexicographic order of universe position, whose
+    recursive arguments come from `below` (= old + new) with at least one
+    from `new`. Built from the last argument back: `free` holds every
+    suffix, `need` the suffixes with a child from `new`."""
+    free: list[tuple[GroundTerm, ...]] = [()]
+    need: list[tuple[GroundTerm, ...]] = []
+    for i in range(len(slots) - 1, -1, -1):
+        atoms = slots[i]
+        if atoms is None:
+            need = [(c, *t) for c in old for t in need] + [(c, *t) for c in new for t in free]
+        else:
+            need = [(a, *t) for a in atoms for t in need]
+        if i:
+            free = [(c, *t) for c in (below if atoms is None else atoms) for t in free]
+    return need
 
 
 # --- the relativized check ----------------------------------------------------
@@ -316,15 +377,17 @@ def check_principle(
 ) -> SoundnessReport:
     """Check one principle; the counterexample, if any, is the first one found."""
     decl = principle.decl
-    universe = enumerate_terms(decl, env, depth_bound, principle.pointed)
-    checker = _RelativizedChecker(decl, env, universe, principle.formula)
-    n = len(universe)
     if isinstance(mode, Exhaustive):
+        n = universe_size(decl, env, depth_bound, principle.pointed)
         if n > EXHAUSTIVE_LIMIT:
             raise ValueError(
                 f"universe of size {n} is too large to check exhaustively "
                 f"(limit {EXHAUSTIVE_LIMIT}); use sampled mode"
             )
+    universe = enumerate_terms(decl, env, depth_bound, principle.pointed)
+    checker = _RelativizedChecker(decl, env, universe, principle.formula)
+    n = len(universe)
+    if isinstance(mode, Exhaustive):
         masks: Iterable[int] = range(1 << n)
     elif isinstance(mode, Sampled):
         rng = random.Random(mode.seed)

@@ -4,7 +4,8 @@ render_latex keeps nested connectives parenthesized and predicate and
 constructor applications always parenthesized, so every subformula below
 the top level is self-delimiting. The reader mirrors the layout: the
 leading quantifier chain scopes to the end of the string, while any other
-quantifier scopes over exactly the next self-delimiting group. On the
+quantifier scopes over exactly the next self-delimiting group, which may
+be a parenthesized quantifier (an antecedent of an implication). On the
 principle shapes the generator emits this is an exact inverse of
 render_latex, which lets tests check that the rendered string denotes
 the formula it came from.
@@ -34,7 +35,7 @@ _TOKEN = re.compile(
     r"""\\forall|\\wedge|\\Rightarrow|\\rightarrow|\\bot|\\top
         |\{\\mathbb\{B\}\}
         |[()*.:,]
-        |[A-Za-z][A-Za-z0-9'_]*(?:_(?:\{\d+\}|\d))?
+        |[A-Za-z](?:[A-Za-z0-9']|_(?!\{))*(?:_\{\d+\})?
     """,
     re.VERBOSE,
 )
@@ -106,7 +107,7 @@ class _Reader:
         self.expect(".")
         return var, sort
 
-    # unit := \top | \forall binder. unit | ( predapp | unit conn unit )
+    # unit := \top | \forall binder. unit | ( predapp | unit | unit conn unit )
     def unit(self):
         tok = self.peek()
         if tok == "\\forall":
@@ -124,6 +125,8 @@ class _Reader:
                 return PredApp(pred, arg)
             left = self.unit()
             conn = self.advance()
+            if conn == ")":
+                return left
             if conn == "\\wedge":
                 inner = And(left, self.unit())
             elif conn == "\\Rightarrow":

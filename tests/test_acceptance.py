@@ -41,7 +41,7 @@ from structind.semantics import (
     GroundEnv,
     Sampled,
     check_principle,
-    enumerate_terms,
+    universe_size,
 )
 
 SWEEP_BUDGET_SECONDS = 60.0
@@ -138,7 +138,7 @@ def test_criterion_6_soundness_sweep():
         env = GroundEnv(carriers or {})
         for pointed in (False, True):
             principle = induction_principle(decl, GenOptions(pointed=pointed))
-            size = len(enumerate_terms(decl, env, depth, pointed))
+            size = universe_size(decl, env, depth, pointed)
             result = check_principle(principle, env, depth, pick_mode(size))
             runs += 1
             if not result.passed:
@@ -169,7 +169,7 @@ def test_criterion_7_mutation_kills():
             )
             killed_at = None
             for depth in range(1, 5):
-                size = len(enumerate_terms(decl, env, depth, False))
+                size = universe_size(decl, env, depth)
                 if not check_principle(mutant, env, depth, pick_mode(size)).passed:
                     killed_at = depth
                     break

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, mostly through subprocesses."""
 
+import io
 import subprocess
 import sys
 
@@ -154,6 +155,22 @@ class TestErrors:
         result = run_cli([flag, value], stdin=corpus.NAT)
         assert result.returncode == 3
         assert "at least 1" in result.stderr
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.hs"
+        path.write_bytes(b"data Caf\xe9 = C\n")
+        assert cli.main([str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"structind: error: {path}: not UTF-8 text")
+
+    def test_non_utf8_stdin(self, monkeypatch, capsys):
+        stdin = io.TextIOWrapper(io.BytesIO(b"data Nat = Z | S Nat\n\xff"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert cli.main([]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("structind: error: <stdin>: not UTF-8 text")
 
     def test_empty_input_is_fine(self):
         result = run_cli([], stdin="")

@@ -35,6 +35,14 @@ from structind.render import (
 )
 
 
+# One-constructor types with arguments: the clause is the whole antecedent.
+ONE_CONSTRUCTOR = {
+    "Box": "data Box = Box Box",
+    "Pair": "data Pair a = Pair a (Pair a)",
+    "Wide": "data Wide = W " + " ".join(["Wide"] * 11),
+}
+
+
 def principle_for(source, pointed=False):
     return induction_principle(parse_decl(source), GenOptions(pointed=pointed))
 
@@ -63,6 +71,11 @@ class TestRenderText:
 
     def test_truth(self):
         assert render_text(Truth()) == "⊤"
+
+    def test_quantified_antecedent_is_parenthesized(self):
+        assert render_text(principle_for(ONE_CONSTRUCTOR["Box"]).formula) == (
+            "∀P:Box → \U0001d539. (∀b1:Box. ((P b1) ⇒ (P (Box b1)))) ⇒ ∀b:Box. (P b)"
+        )
 
     def test_shadowed_conclusion_variable_gets_suffix(self):
         formula = principle_for("data B a b = MkB a (B a b)").formula
@@ -105,9 +118,9 @@ class TestRenderLatex:
         latex = render_latex(principle_for(corpus.BOOL, pointed=True).formula)
         assert "(P\\; \\bot)" in latex
 
-    @pytest.mark.parametrize("name", sorted(corpus.ALL))
+    @pytest.mark.parametrize("name", sorted(corpus.ALL) + sorted(ONE_CONSTRUCTOR))
     def test_output_parses_back_to_the_same_formula(self, name):
-        formula = principle_for(corpus.ALL[name]).formula
+        formula = principle_for({**corpus.ALL, **ONE_CONSTRUCTOR}[name]).formula
         assert parse_latex(render_latex(formula)) == formula
 
     def test_balanced_parens_and_braces(self):

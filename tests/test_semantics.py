@@ -1,10 +1,17 @@
 """Ground-term enumeration and the finite-model soundness check."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 import corpus
 import strategies
+from reference_enum import reference_terms
+from structind import semantics
 from structind.core import Principle
 from structind.generator import GenOptions, assemble, induction_principle
 from structind.parser import parse_decl
@@ -23,6 +30,7 @@ from structind.semantics import (
     format_ground_term,
     immediate_subterms,
     term_depth,
+    universe_size,
 )
 
 NO_PARAMS = GroundEnv({})
@@ -139,6 +147,99 @@ class TestEnumeration:
             assert term_depth(t) <= depth
             for sub in immediate_subterms(t):
                 assert sub in members
+
+
+# Every enumerable corpus declaration with the CLI's two atoms per parameter,
+# at depths 1-4, pointed and not; cases of more than 5,000 terms are skipped.
+ENUMERABLE = [
+    (name, depth, pointed)
+    for name in sorted(corpus.ALL)
+    if name != "Lambda"
+    for depth in (1, 2, 3, 4)
+    for pointed in (False, True)
+]
+SIZE_CAP = 5000
+
+
+class TestCountedUniverse:
+    @pytest.mark.parametrize("name, depth, pointed", ENUMERABLE)
+    def test_matches_reference_enumerator(self, name, depth, pointed):
+        decl = parse_decl(corpus.ALL[name])
+        env = GroundEnv.default_for(decl)
+        size = universe_size(decl, env, depth, pointed)
+        if size > SIZE_CAP:
+            pytest.skip(f"universe of {size} terms")
+        universe = enumerate_terms(decl, env, depth, pointed)
+        assert universe == reference_terms(decl, env, depth, pointed)
+        assert len(universe) == size
+
+    @given(
+        strategies.data_decls(max_ctors=3, max_arity=3, supported_only=True),
+        strategies.st_depths(),
+        strategies.gen_options(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_size_matches_enumeration(self, decl, depth, opts):
+        env = GroundEnv.default_for(decl)
+        size = universe_size(decl, env, depth, opts.pointed)
+        if size <= SIZE_CAP:
+            universe = enumerate_terms(decl, env, depth, opts.pointed)
+            assert len(universe) == size
+            assert universe == reference_terms(decl, env, depth, opts.pointed)
+
+    def test_counts_without_building(self):
+        btree = parse_decl(corpus.BTREE)
+        env = GroundEnv({"a": ("u", "v")})
+        assert [universe_size(btree, env, d) for d in range(1, 7)] == [
+            2, 6, 38, 1446, 2090918, 4371938082726,
+        ]
+
+    def test_raises_as_enumeration_does(self):
+        nat = parse_decl(corpus.NAT)
+        with pytest.raises(ValueError, match="at least 1"):
+            universe_size(nat, NO_PARAMS, 0)
+        list_ = parse_decl(corpus.LIST)
+        with pytest.raises(ValueError, match="no carrier"):
+            universe_size(list_, GroundEnv({}), 2)
+        with pytest.raises(UnsupportedTypeError, match="String"):
+            universe_size(parse_decl(corpus.LAMBDA), GroundEnv({"c": ("k",)}), 2)
+
+    def test_oversized_exhaustive_check_is_refused_before_enumeration(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("the universe was built")
+
+        monkeypatch.setattr(semantics, "enumerate_terms", no_enumeration)
+        btree = parse_decl(corpus.BTREE)
+        with pytest.raises(ValueError, match="size 4371938082726 is too large"):
+            check_soundness(btree, GenOptions(), GroundEnv({"a": ("u", "v")}), 6, Exhaustive())
+
+
+class TestNode:
+    def test_equal_nodes_hash_equal(self):
+        built = [Node("S", (Node("Z"),)), Node("S", (Node("Z", ()),))]
+        assert built[0] == built[1] and built[0] is not built[1]
+        assert hash(built[0]) == hash(built[1])
+        assert len({*built, Node("S", (BottomTerm(),))}) == 2
+
+    def test_unpickled_node_hashes_in_another_process(self):
+        term = Node("Cons", (Atom("u", "a"), Node("Nil")))
+        code = (
+            "import pickle, sys; from structind.semantics import Atom, Node; "
+            "t = pickle.loads(sys.stdin.buffer.read()); "
+            "print(t in {Node('Cons', (Atom('u', 'a'), Node('Nil')))})"
+        )
+        # Another hash seed than this process's, so string hashes differ.
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        result = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(term), capture_output=True, env=env
+        )
+        assert result.stdout.strip() == b"True", result.stderr
+
+    def test_repr_unchanged(self):
+        assert repr(Node("S", (Node("Z"),))) == (
+            "Node(ctor='S', children=(Node(ctor='Z', children=()),))"
+        )
 
 
 class TestImmediateSubterms:
