@@ -7,6 +7,7 @@ soundness check finds a counterexample, 3 on bad flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .generator import GenOptions, induction_principle, nested_recursion_warnings
@@ -25,6 +26,10 @@ from .semantics import (
     universe_size,
 )
 
+# A sampled check keeps the universe and each sampled predicate in memory:
+# about 200 B per term, so a million terms is a few hundred MB.
+_MAX_UNIVERSE = 1_000_000
+
 _RENDERERS = {"text": render_text, "latex": render_latex, "sexpr": render_sexpr}
 _COMMENT = {"text": "--", "latex": "%", "sexpr": ";"}
 
@@ -38,6 +43,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     ap = _ArgumentParser(
         prog="structind",
@@ -120,7 +126,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.check:
             env = GroundEnv.default_for(decl)
             try:
-                size = universe_size(decl, env, args.depth, opts.pointed)
+                size = universe_size(decl, env, args.depth, opts.pointed, _MAX_UNIVERSE)
+                if size > _MAX_UNIVERSE:
+                    raise UnsupportedTypeError(
+                        f"universe of more than {_MAX_UNIVERSE} terms at depth {args.depth}"
+                    )
             except UnsupportedTypeError as e:
                 print(
                     f"warning: skipping soundness check for {decl.type_name}: {e}",

@@ -9,15 +9,18 @@ Grammar (one token of lookahead throughout):
     type     :=  btype [ "->" type ]
     btype    :=  ( UpperName | lowerName | parenthesized type ) { atype }
 
-Whitespace and "--" line comments are skipped. Recognizable Haskell
-features outside this fragment (deriving clauses, record syntax,
-strictness annotations, infix constructors) raise a ParseError that says
-the feature is unsupported.
+Whitespace and "--" line comments are skipped. Types nest at most
+MAX_TYPE_NESTING levels deep, each pair of parentheses and each arrow
+adding one. Recognizable Haskell features outside this fragment
+(deriving clauses, record syntax, strictness annotations, infix
+constructors) raise a ParseError that says the feature is unsupported.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import App, Arrow, ConstructorDecl, DataDecl, TupleType, TypeExpr, Var, type_vars
 
@@ -41,178 +44,194 @@ class ParseError(Exception):
         self.expected = tuple(expected)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: SourcePos
+def position(text: str, offset: int) -> SourcePos:
+    """The line and column of `offset` in `text`, both from 1; only newlines end lines."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourcePos(text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-_KEYWORDS = {"data", "deriving"}
-_SINGLES = "=|(),!{}"
-_OP_CHARS = set(":#$%&*+./<>?@\\^~-")
+class _Reader:
+    """A cursor over the tokens that `pattern` finds in `text`.
+
+    The pattern skips blanks and comments, which start with `comment` and
+    run to the end of the line, then captures one token, or "" at the end
+    of input, in its only group; a token's index is also the index of its
+    match. Tokens are plain strings; a position is worked out from the
+    text only when an error needs one.
+    """
+
+    pattern: re.Pattern[str]
+    comment: str
+
+    def __init__(self, text: str):
+        self.text = text
+        self.words = self.pattern.findall(text)
+        if len(self.words) > 1 and not self.words[-2]:
+            self.words.pop()  # input that ends in blanks or a comment matches "" twice
+        self.i = 0
+
+    def pos(self, index: int) -> SourcePos:
+        """Where token `index` starts. The end of input after a last-line
+        comment that no newline ends sits at the comment's start."""
+        m = next(islice(self.pattern.finditer(self.text), index, None))
+        offset = m.start(1)
+        if not m.group(1):
+            last_line = max(m.start(), self.text.rfind("\n") + 1)
+            comment = self.text.find(self.comment, last_line)
+            if comment >= 0:
+                offset = comment
+        return position(self.text, offset)
+
+    def peek(self) -> str:
+        return self.words[self.i]
+
+    def fail(self, message: str, expected: tuple[str, ...] = ()):
+        word = self.words[self.i]
+        found = repr(word) if word else "end of input"
+        raise ParseError(self.pos(self.i), f"{message}, found {found}", expected)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        pos = SourcePos(line, col)
-        if text.startswith("->", i):
-            tokens.append(_Token("->", "->", pos))
-            i += 2
-            col += 2
-            continue
-        if ch in _SINGLES:
-            tokens.append(_Token(ch, ch, pos))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            if word in _KEYWORDS:
-                kind = word
-            elif word[0].isupper():
-                kind = "upper"
-            else:
-                kind = "lower"
-            tokens.append(_Token(kind, word, pos))
-            col += j - i
-            i = j
-            continue
-        if ch in _OP_CHARS:
-            j = i
-            while j < n and text[j] in _OP_CHARS:
-                j += 1
-            tokens.append(_Token("op", text[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(pos, f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", "", SourcePos(line, col)))
-    return tokens
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]|--[^\n]*)*"
+    r"(->|[=|(),!{}]|[^\W\d_][\w']*|[:#$%&*+./<>?@\\^~-]+|.|\Z)"
+)
+_KINDS = {w: w for w in ("->", *"=|(),!{}", "data", "deriving")}
+_KINDS[""] = "eof"
+_OP_CHARS = frozenset(":#$%&*+./<>?@\\^~-")
+
+
+def _kind(word: str) -> str:
+    kind = _KINDS.get(word)
+    if kind is None:
+        ch = word[0]
+        if ch.isalpha():  # the pattern's [^\W\d_] also admits digits such as '²'
+            kind = "upper" if ch.isupper() else "lower"
+        elif ch in _OP_CHARS:
+            kind = "op"
+        else:
+            kind = "bad"
+    return kind
 
 
 _ATYPE_FIRST = ("lower", "upper", "(")
+# Parentheses and arrows nest types; each level costs the parser (and the
+# renderers and checker after it) a few stack frames.
+MAX_TYPE_NESTING = 100
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+class _Parser(_Reader):
+    pattern, comment = _TOKEN, "--"
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.kinds = [_kind(w) for w in self.words]
+        if "bad" in self.kinds:
+            bad = self.kinds.index("bad")
+            raise ParseError(self.pos(bad), f"unexpected character {self.words[bad][0]!r}")
+        self.depth = 0
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
+    def kind(self) -> str:
+        return self.kinds[self.i]
+
+    def advance(self) -> str:
         self.i += 1
-        return tok
+        return self.words[self.i - 1]
 
-    def fail(self, tok: _Token, message: str, expected: tuple[str, ...] = ()):
-        found = f"{tok.text!r}" if tok.kind != "eof" else "end of input"
-        raise ParseError(tok.pos, f"{message}, found {found}", expected)
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(tok, f"expected {what}", (what,))
+    def expect(self, kind: str, what: str) -> str:
+        if self.kinds[self.i] != kind:
+            self.fail(f"expected {what}", (what,))
         return self.advance()
+
+    def program(self) -> list[DataDecl]:
+        decls: list[DataDecl] = []
+        seen: set[str] = set()
+        while self.kind() != "eof":
+            name_at = self.i + 1  # the type name follows 'data'
+            decl = self.decl()
+            if decl.type_name in seen:
+                raise ParseError(
+                    self.pos(name_at), f"duplicate declaration of type {decl.type_name!r}"
+                )
+            seen.add(decl.type_name)
+            decls.append(decl)
+        return decls
 
     # --- declarations ---
 
-    def decl(self) -> tuple[DataDecl, SourcePos]:
+    def decl(self) -> DataDecl:
         self.expect("data", "'data'")
-        name_tok = self.expect("upper", "type name")
-        params: list[str] = []
-        param_pos: list[SourcePos] = []
-        while self.peek().kind == "lower":
-            tok = self.advance()
-            params.append(tok.text)
-            param_pos.append(tok.pos)
-        for k, (p, pos) in enumerate(zip(params, param_pos)):
+        name = self.expect("upper", "type name")
+        first = self.i
+        while self.kind() == "lower":
+            self.i += 1
+        params = self.words[first : self.i]
+        for k, p in enumerate(params):
             if p in params[:k]:
-                raise ParseError(pos, f"duplicate type parameter {p!r}")
-        if self.peek().kind == "upper":
-            self.fail(self.peek(), "type parameters must be lowercase names")
+                raise ParseError(self.pos(first + k), f"duplicate type parameter {p!r}")
+        if self.kind() == "upper":
+            self.fail("type parameters must be lowercase names")
         self.expect("=", "'='")
         scope = frozenset(params)
-        ctors = [self.ctor(name_tok.text, scope)]
-        while self.peek().kind == "|":
-            self.advance()
-            ctors.append(self.ctor(name_tok.text, scope))
-        if self.peek().kind == "deriving":
-            self.fail(self.peek(), "unsupported feature: deriving clause")
-        decl = DataDecl(name_tok.text, tuple(params), tuple(ctors))
-        return decl, name_tok.pos
+        ctors = [self.ctor(name, scope)]
+        while self.kind() == "|":
+            self.i += 1
+            ctors.append(self.ctor(name, scope))
+        if self.kind() == "deriving":
+            self.fail("unsupported feature: deriving clause")
+        # Titlecase letters, and letters without case, lex as lowercase
+        # names; DataDecl rejects them, so they are reported where it would.
+        for k, p in enumerate(params):
+            if not p[0].islower():
+                raise ParseError(
+                    self.pos(first + k), f"type parameters must be lowercase names, found {p!r}"
+                )
+        return DataDecl(name, tuple(params), tuple(ctors))
 
     def ctor(self, type_name: str, scope: frozenset[str]) -> ConstructorDecl:
-        tok = self.peek()
-        if tok.kind == "lower":
-            self.fail(tok, "constructor names must be uppercase")
-        name_tok = self.expect("upper", "constructor name")
-        if self.peek().kind == "{":
-            self.fail(self.peek(), "unsupported feature: record syntax")
+        if self.kind() == "lower":
+            self.fail("constructor names must be uppercase")
+        name = self.expect("upper", "constructor name")
+        if self.kind() == "{":
+            self.fail("unsupported feature: record syntax")
         args: list[TypeExpr] = []
         while True:
-            tok = self.peek()
-            if tok.kind == "!":
-                self.fail(tok, "unsupported feature: strictness annotation")
-            if tok.kind not in _ATYPE_FIRST:
+            kind = self.kind()
+            if kind == "!":
+                self.fail("unsupported feature: strictness annotation")
+            if kind not in _ATYPE_FIRST:
                 break
-            pos = tok.pos
+            start = self.i
             ty = self.atype()
             loose = type_vars(ty) - scope
             if loose:
                 raise ParseError(
-                    pos,
+                    self.pos(start),
                     f"type variable {min(loose)!r} is not a parameter of {type_name!r}",
                 )
             args.append(ty)
-        tok = self.peek()
-        if tok.kind == "op":
-            if tok.text.startswith(":"):
-                self.fail(tok, "unsupported feature: infix constructor")
-            self.fail(tok, "unexpected operator")
-        return ConstructorDecl(name_tok.text, tuple(args))
+        if self.kind() == "op":
+            if self.peek().startswith(":"):
+                self.fail("unsupported feature: infix constructor")
+            self.fail("unexpected operator")
+        return ConstructorDecl(name, tuple(args))
 
     # --- types ---
 
     def atype(self) -> TypeExpr:
-        tok = self.peek()
-        if tok.kind == "lower":
-            self.advance()
-            return Var(tok.text)
-        if tok.kind == "upper":
-            self.advance()
-            return App(tok.text, ())
-        if tok.kind == "(":
+        kind = self.kind()
+        if kind == "lower":
+            return Var(self.advance())
+        if kind == "upper":
+            return App(self.advance(), ())
+        if kind == "(":
             return self.paren_type()
-        self.fail(tok, "expected a type")
+        self.fail("expected a type")
 
     def paren_type(self) -> TypeExpr:
         self.expect("(", "'('")
         elems = [self.type_()]
-        while self.peek().kind == ",":
-            self.advance()
+        while self.kind() == ",":
+            self.i += 1
             elems.append(self.type_())
         self.expect(")", "')'")
         if len(elems) == 1:
@@ -220,50 +239,47 @@ class _Parser:
         return TupleType(tuple(elems))
 
     def type_(self) -> TypeExpr:
-        left = self.btype()
-        if self.peek().kind == "->":
-            self.advance()
-            return Arrow(left, self.type_())
-        return left
+        if self.depth == MAX_TYPE_NESTING:
+            raise ParseError(
+                self.pos(self.i), f"type nested more than {MAX_TYPE_NESTING} levels deep"
+            )
+        self.depth += 1
+        ty = self.btype()
+        if self.kind() == "->":
+            self.i += 1
+            ty = Arrow(ty, self.type_())
+        self.depth -= 1
+        return ty
 
     def btype(self) -> TypeExpr:
-        tok = self.peek()
-        if tok.kind == "upper":
-            self.advance()
+        kind = self.kind()
+        if kind == "upper":
+            head = self.advance()
             args = []
-            while self.peek().kind in _ATYPE_FIRST:
+            while self.kind() in _ATYPE_FIRST:
                 args.append(self.atype())
-            return App(tok.text, tuple(args))
-        if tok.kind == "lower":
-            self.advance()
-            if self.peek().kind in _ATYPE_FIRST:
-                self.fail(self.peek(), f"cannot apply arguments to type variable {tok.text!r}")
-            return Var(tok.text)
-        if tok.kind == "(":
+            return App(head, tuple(args))
+        if kind == "lower":
+            name = self.advance()
+            if self.kind() in _ATYPE_FIRST:
+                self.fail(f"cannot apply arguments to type variable {name!r}")
+            return Var(name)
+        if kind == "(":
             ty = self.paren_type()
-            if self.peek().kind in _ATYPE_FIRST:
-                self.fail(self.peek(), "unsupported feature: application of a parenthesized type")
+            if self.kind() in _ATYPE_FIRST:
+                self.fail("unsupported feature: application of a parenthesized type")
             return ty
-        self.fail(tok, "expected a type")
+        self.fail("expected a type")
 
 
 def parse_decl(text: str) -> DataDecl:
     """Parse exactly one declaration; the whole input must be consumed."""
-    parser = _Parser(_tokenize(text))
-    decl, _ = parser.decl()
+    parser = _Parser(text)
+    decl = parser.decl()
     parser.expect("eof", "end of input")
     return decl
 
 
 def parse_program(text: str) -> list[DataDecl]:
     """Parse zero or more declarations with distinct type names."""
-    parser = _Parser(_tokenize(text))
-    decls: list[DataDecl] = []
-    seen: set[str] = set()
-    while parser.peek().kind != "eof":
-        decl, name_pos = parser.decl()
-        if decl.type_name in seen:
-            raise ParseError(name_pos, f"duplicate declaration of type {decl.type_name!r}")
-        seen.add(decl.type_name)
-        decls.append(decl)
-    return decls
+    return _Parser(text).program()

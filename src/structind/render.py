@@ -40,7 +40,7 @@ from .core import (
     TypeExpr,
     Var,
 )
-from .parser import ParseError, SourcePos
+from .parser import ParseError, _Reader
 
 
 @dataclass(frozen=True)
@@ -257,84 +257,43 @@ def _sx_term(t: Term) -> str:
 # --- s-expression parsing ------------------------------------------------------------
 
 
-def _sx_tokenize(text: str) -> list[tuple[str, str, SourcePos]]:
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        pos = SourcePos(line, col)
-        if ch in "()":
-            tokens.append((ch, ch, pos))
-            i += 1
-            col += 1
-            continue
-        j = i
-        while j < n and text[j] not in " \t\r\n();":
-            j += 1
-        tokens.append(("atom", text[i:j], pos))
-        col += j - i
-        i = j
-    tokens.append(("eof", "", SourcePos(line, col)))
-    return tokens
+_SX_TOKEN = re.compile(r"(?:[ \t\r\n]|;[^\n]*)*([()]|[^ \t\r\n();]+|\Z)")
 
 
-class _SxParser:
-    def __init__(self, tokens: list[tuple[str, str, SourcePos]]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message: str):
-        kind, text, pos = self.peek()
-        found = f"{text!r}" if kind != "eof" else "end of input"
-        raise ParseError(pos, f"{message}, found {found}")
+class _SxParser(_Reader):
+    pattern, comment = _SX_TOKEN, ";"
 
     def open_(self):
-        if self.peek()[0] != "(":
+        if self.words[self.i] != "(":
             self.fail("expected '('")
-        return self.advance()
+        self.i += 1
 
     def close_(self):
-        if self.peek()[0] != ")":
+        if self.words[self.i] != ")":
             self.fail("expected ')'")
-        self.advance()
+        self.i += 1
 
-    def atom(self, what: str) -> tuple[str, SourcePos]:
-        kind, text, pos = self.peek()
-        if kind != "atom":
+    def atom(self, what: str) -> str:
+        word = self.words[self.i]
+        if word in ("(", ")", ""):
             self.fail(f"expected {what}")
-        self.advance()
-        return text, pos
+        self.i += 1
+        return word
+
+    def document(self) -> Formula:
+        f = self.formula()
+        if self.peek():
+            self.fail("expected end of input")
+        return f
 
     def formula(self) -> Formula:
         self.open_()
-        tag, pos = self.atom("a formula form")
+        tag = self.atom("a formula form")
         if tag == "true":
             self.close_()
             return Truth()
         if tag == "pred":
-            name, _ = self.atom("a predicate name")
+            name = self.atom("a predicate name")
             arg = self.term()
             self.close_()
             return PredApp(name, arg)
@@ -350,17 +309,17 @@ class _SxParser:
             return Implies(antecedent, consequent)
         if tag == "forall":
             self.open_()
-            var, _ = self.atom("a bound variable")
+            var = self.atom("a bound variable")
             sort = self.sort()
             self.close_()
             body = self.formula()
             self.close_()
             return Forall(var, sort, body)
-        raise ParseError(pos, f"unknown formula form {tag!r}")
+        raise ParseError(self.pos(self.i - 1), f"unknown formula form {tag!r}")
 
     def sort(self) -> Sort:
         self.open_()
-        tag, pos = self.atom("a sort form")
+        tag = self.atom("a sort form")
         if tag == "kind-star":
             self.close_()
             return OF_KIND_STAR
@@ -372,28 +331,29 @@ class _SxParser:
             ty = self.type_()
             self.close_()
             return PredOver(ty)
-        raise ParseError(pos, f"unknown sort form {tag!r}")
+        raise ParseError(self.pos(self.i - 1), f"unknown sort form {tag!r}")
 
     def type_(self) -> TypeExpr:
         self.open_()
-        tag, pos = self.atom("a type form")
+        tag_at = self.i
+        tag = self.atom("a type form")
         if tag == "var":
-            name, _ = self.atom("a type variable")
+            name = self.atom("a type variable")
             self.close_()
             return Var(name)
         if tag == "app":
-            head, _ = self.atom("a type constructor")
+            head = self.atom("a type constructor")
             args = []
-            while self.peek()[0] == "(":
+            while self.peek() == "(":
                 args.append(self.type_())
             self.close_()
             return App(head, tuple(args))
         if tag == "tuple":
             elems = []
-            while self.peek()[0] == "(":
+            while self.peek() == "(":
                 elems.append(self.type_())
             if len(elems) < 2:
-                raise ParseError(pos, "tuple type needs at least two components")
+                raise ParseError(self.pos(tag_at), "tuple type needs at least two components")
             self.close_()
             return TupleType(tuple(elems))
         if tag == "arrow":
@@ -401,32 +361,28 @@ class _SxParser:
             codomain = self.type_()
             self.close_()
             return Arrow(domain, codomain)
-        raise ParseError(pos, f"unknown type form {tag!r}")
+        raise ParseError(self.pos(tag_at), f"unknown type form {tag!r}")
 
     def term(self) -> Term:
         self.open_()
-        tag, pos = self.atom("a term form")
+        tag = self.atom("a term form")
         if tag == "var":
-            name, _ = self.atom("a term variable")
+            name = self.atom("a term variable")
             self.close_()
             return TVar(name)
         if tag == "app":
-            ctor, _ = self.atom("a constructor name")
+            ctor = self.atom("a constructor name")
             args = []
-            while self.peek()[0] == "(":
+            while self.peek() == "(":
                 args.append(self.term())
             self.close_()
             return TApp(ctor, tuple(args))
         if tag == "bottom":
             self.close_()
             return Bottom()
-        raise ParseError(pos, f"unknown term form {tag!r}")
+        raise ParseError(self.pos(self.i - 1), f"unknown term form {tag!r}")
 
 
 def parse_sexpr(text: str) -> Formula:
     """Inverse of render_sexpr; the whole input must be one formula."""
-    parser = _SxParser(_sx_tokenize(text))
-    f = parser.formula()
-    if parser.peek()[0] != "eof":
-        parser.fail("expected end of input")
-    return f
+    return _SxParser(text).document()

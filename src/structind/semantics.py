@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import prod
+from math import inf, prod
 from typing import Iterable, Mapping, Optional
 
 from .core import (
@@ -185,10 +185,13 @@ def _argument_slots(
 
 
 def universe_size(
-    decl: DataDecl, env: GroundEnv, depth_bound: int, pointed: bool = False
+    decl: DataDecl, env: GroundEnv, depth_bound: int, pointed: bool = False, limit: float = inf
 ) -> int:
     """len(enumerate_terms(decl, env, depth_bound, pointed)), counted without
-    building a term; raises exactly as enumerate_terms does.
+    building a term; raises exactly as enumerate_terms does. Counting stops
+    at the first depth whose total passes `limit`, so a result above it
+    means only "more than `limit`" (the exact count can have billions of
+    digits at a large depth).
 
     A constructor with k recursive arguments and A atom combinations adds
     A * (S[d-1]**k - S[d-2]**k) terms to layer d >= 2, where S[d] counts
@@ -200,7 +203,8 @@ def universe_size(
     ]
     older, total = 0, int(pointed) + sum(a for a, k in shapes if k == 0)
     for _ in range(2, depth_bound + 1):
-        if total == older:  # an empty layer has no deeper terms above it
+        # An empty layer has no deeper terms above it.
+        if total == older or total > limit:
             break
         older, total = total, total + sum(a * (total**k - older**k) for a, k in shapes if k)
     return total

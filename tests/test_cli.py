@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import corpus
-from structind import cli
+from structind import cli, semantics
+from structind.parser import MAX_TYPE_NESTING
 from structind.render import parse_sexpr
 from structind.semantics import Exhaustive, Node, SoundnessReport
 
@@ -105,6 +106,29 @@ class TestCheck:
         assert "warning: skipping soundness check for Lambda" in result.stderr
         assert "-- Lambda: skipped (" in result.stdout
 
+    def test_oversized_universe_is_refused_before_enumerating(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("enumerate_terms called")
+
+        monkeypatch.setattr(semantics, "enumerate_terms", fail)
+        monkeypatch.setattr(cli, "enumerate_terms", fail)
+        path = tmp_path / "btree.hs"
+        path.write_text(corpus.BTREE, encoding="utf-8")
+        assert cli.main(["--check", "--depth", "6", str(path)]) == 0
+        captured = capsys.readouterr()
+        reason = f"universe of more than {cli._MAX_UNIVERSE} terms at depth 6"
+        assert captured.err == f"warning: skipping soundness check for BTree: {reason}\n"
+        assert captured.out.endswith(f"-- BTree: skipped ({reason})\n")
+
+    @pytest.mark.parametrize("limit, checked", [(38, True), (37, False)])
+    def test_universe_limit_is_inclusive(self, limit, checked, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_MAX_UNIVERSE", limit)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(corpus.BTREE))
+        assert cli.main(["--check", "--depth", "3", "--samples", "5"]) == 0
+        out = capsys.readouterr().out
+        assert ("-- BTree: pass (universe 38, sampled 5 predicates" in out) == checked
+        assert ("-- BTree: skipped (universe of more than 37 terms" in out) != checked
+
     def test_counterexample_exit_code(self, monkeypatch, capsys):
         # A correct generator never produces a failing report, so fake one.
         report = SoundnessReport(
@@ -135,6 +159,34 @@ class TestErrors:
         result = run_cli([str(path)])
         assert result.returncode == 1
         assert f"{path}:2:1: error:" in result.stderr
+
+    def test_titlecase_type_parameter(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("data X ǅbe = A\n"))
+        assert cli.main([]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "<stdin>:1:8: error: type parameters must be lowercase names, found 'ǅbe'\n"
+        )
+
+    def test_nesting_too_deep(self, monkeypatch, capsys):
+        text = "data D = D " + "(" * 1200 + "D" + ")" * 1200
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli.main([]) == 1
+        assert capsys.readouterr().err == (
+            f"<stdin>:1:{13 + MAX_TYPE_NESTING}: error: "
+            f"type nested more than {MAX_TYPE_NESTING} levels deep\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "sexpr"])
+    def test_nesting_at_the_cap_goes_through(self, fmt, monkeypatch, capsys):
+        text = "data D a = D " + "(D " * MAX_TYPE_NESTING + "a" + ")" * MAX_TYPE_NESTING
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli.main(["--format", fmt, "--check"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{cli._COMMENT[fmt]} D\n")
+        if fmt == "sexpr":
+            assert parse_sexpr(out.split("\n")[1]) is not None
 
     def test_missing_file(self):
         result = run_cli(["/no/such/file"])
@@ -176,3 +228,32 @@ class TestErrors:
         result = run_cli([], stdin="")
         assert result.returncode == 0
         assert result.stdout == ""
+
+
+class TestRepeatedCalls:
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        # One argument parser serves every call in a process; each call must
+        # still behave like a fresh process.
+        btree, nat = tmp_path / "btree.hs", tmp_path / "nat.hs"
+        btree.write_text(corpus.BTREE, encoding="utf-8")
+        nat.write_text(corpus.NAT + "\n" + corpus.LIST, encoding="utf-8")
+        calls = [
+            ["--check", "--samples", "5", "--seed", "3", "--format", "latex", str(btree)],
+            ["--check", str(btree)],
+            ["--format", "sexpr", "--pointed", str(nat)],
+            [str(nat)],
+            ["--check", "--depth", "2", str(btree), str(nat)],
+            ["--samples", "0", str(nat)],
+            ["--format", "html", str(nat)],
+            ["--check", "--samples", "7", str(btree)],
+            ["--check", str(btree)],
+        ]
+        for args in calls:
+            code = cli.main(args)
+            captured = capsys.readouterr()
+            fresh = run_cli(args)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode,
+                fresh.stdout,
+                fresh.stderr,
+            ), args

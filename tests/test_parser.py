@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import strategies
 from structind.core import App, Arrow, ConstructorDecl, DataDecl, TupleType, Var
-from structind.parser import ParseError, parse_decl, parse_program
+from structind.parser import MAX_TYPE_NESTING, ParseError, parse_decl, parse_program
 from structind.render import render_decl_source
 
 import corpus
@@ -133,6 +133,47 @@ class TestErrors:
             parse_decl("data T = C [a]")
         assert "unexpected character" in err.value.message
 
+    @pytest.mark.parametrize("param", ["ǅbe", "中"])
+    def test_type_parameter_without_lowercase_start(self, param):
+        # Neither is uppercase, so both lex as lowercase names.
+        with pytest.raises(ParseError) as err:
+            parse_decl(f"data X {param} = A")
+        assert (err.value.pos.line, err.value.pos.column) == (1, 8)
+        assert err.value.message == f"type parameters must be lowercase names, found {param!r}"
+
+
+def _nested(shape, depth):
+    """A declaration whose one argument type nests `depth` levels deep."""
+    if shape == "parens":
+        return "data D = D " + "(" * depth + "D" + ")" * depth
+    if shape == "applications":
+        return "data D a = D " + "(D " * depth + "a" + ")" * depth
+    return "data D a = D (" + "a -> " * (depth - 1) + "a)"
+
+
+class TestNesting:
+    @pytest.mark.parametrize("shape", ["parens", "applications", "arrows"])
+    def test_nesting_at_the_cap_parses(self, shape):
+        decl = parse_decl(_nested(shape, MAX_TYPE_NESTING))
+        assert decl.type_name == "D"
+
+    # The error points at the first token of the level past the cap: after
+    # "data D = D " and N + 1 "(", after "data D a = D " and N "(D " and a
+    # "(", or after "data D a = D (" and N "a -> ".
+    @pytest.mark.parametrize(
+        "shape, offset",
+        [
+            ("parens", 11 + MAX_TYPE_NESTING + 1),
+            ("applications", 13 + 3 * MAX_TYPE_NESTING + 1),
+            ("arrows", 14 + 5 * MAX_TYPE_NESTING),
+        ],
+    )
+    def test_deeper_nesting_is_a_positioned_error(self, shape, offset):
+        with pytest.raises(ParseError) as err:
+            parse_decl(_nested(shape, 1200))
+        assert err.value.message == f"type nested more than {MAX_TYPE_NESTING} levels deep"
+        assert (err.value.pos.line, err.value.pos.column) == (1, offset + 1)
+
 
 class TestProgram:
     def test_two_declarations(self):
@@ -147,7 +188,7 @@ class TestProgram:
         with pytest.raises(ParseError) as err:
             parse_program(corpus.NAT + "\n" + corpus.NAT)
         assert "duplicate declaration" in err.value.message
-        assert err.value.pos.line == 2
+        assert (err.value.pos.line, err.value.pos.column) == (2, 6)
 
     @given(st.lists(strategies.data_decls(), max_size=4))
     @settings(max_examples=100, deadline=None)

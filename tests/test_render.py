@@ -186,9 +186,18 @@ class TestSexpr:
         assert fragment in err.value.message
 
     def test_error_position(self):
-        with pytest.raises(ParseError) as err:
-            parse_sexpr("(and (true)\n  (oops))")
-        assert err.value.pos.line == 2
+        cases = [
+            ("(and (true)\n  (oops))", 2, 4),
+            ("(forall (x (nope)) (true))", 1, 13),
+            ("(forall (x (ty (nope))) (true))", 1, 17),
+            ("(forall (x (ty (tuple (var a)))) (true))", 1, 17),
+            ("(pred P (nope))", 1, 10),
+            ("(true) (true)", 1, 8),
+        ]
+        for text, line, column in cases:
+            with pytest.raises(ParseError) as err:
+                parse_sexpr(text)
+            assert (err.value.pos.line, err.value.pos.column) == (line, column), text
 
     @given(strategies.formulas())
     @settings(max_examples=300, deadline=None)
