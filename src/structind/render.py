@@ -40,7 +40,7 @@ from .core import (
     TypeExpr,
     Var,
 )
-from .parser import ParseError, _Reader
+from .parser import MAX_TYPE_NESTING, ParseError, _Reader
 
 
 @dataclass(frozen=True)
@@ -258,6 +258,10 @@ def _sx_term(t: Term) -> str:
 
 
 _SX_TOKEN = re.compile(r"(?:[ \t\r\n]|;[^\n]*)*([()]|[^ \t\r\n();]+|\Z)")
+# A declaration type nested parser.MAX_TYPE_NESTING levels deep writes type
+# forms up to three deep per level (an arrow, an application, a tuple), so
+# this admits every type the generator can write; terms it writes are shallow.
+MAX_SEXPR_NESTING = 3 * MAX_TYPE_NESTING
 
 
 class _SxParser(_Reader):
@@ -287,35 +291,51 @@ class _SxParser(_Reader):
         return f
 
     def formula(self) -> Formula:
-        self.open_()
-        tag = self.atom("a formula form")
-        if tag == "true":
-            self.close_()
-            return Truth()
-        if tag == "pred":
-            name = self.atom("a predicate name")
-            arg = self.term()
-            self.close_()
-            return PredApp(name, arg)
-        if tag == "and":
-            left = self.formula()
-            right = self.formula()
-            self.close_()
-            return And(left, right)
-        if tag == "implies":
-            antecedent = self.formula()
-            consequent = self.formula()
-            self.close_()
-            return Implies(antecedent, consequent)
-        if tag == "forall":
-            self.open_()
-            var = self.atom("a bound variable")
-            sort = self.sort()
-            self.close_()
-            body = self.formula()
-            self.close_()
-            return Forall(var, sort, body)
-        raise ParseError(self.pos(self.i - 1), f"unknown formula form {tag!r}")
+        # `and`, `implies` and `forall` forms wait on `pending` for their
+        # subformulas instead of on the call stack, so the long chains the
+        # generator writes (a conjunct per constructor, a quantifier and an
+        # implication per argument) cost no stack depth. An entry is And or
+        # Implies before its left operand is read, (And or Implies, left)
+        # after, and (variable, sort) for a quantifier.
+        pending: list = []
+        open_, atom, close = self.open_, self.atom, self.close_
+        push, pop = pending.append, pending.pop
+        while True:
+            open_()
+            tag = atom("a formula form")
+            if tag == "forall":
+                open_()
+                var = atom("a bound variable")
+                sort = self.sort()
+                close()
+                push((var, sort))
+                continue
+            if tag == "implies":
+                push(Implies)
+                continue
+            if tag == "and":
+                push(And)
+                continue
+            if tag == "pred":
+                name = atom("a predicate name")
+                f: Formula = PredApp(name, self.term())
+            elif tag == "true":
+                f = Truth()
+            else:
+                raise ParseError(self.pos(self.i - 1), f"unknown formula form {tag!r}")
+            close()
+            while pending:
+                form = pop()
+                if form is And or form is Implies:
+                    push((form, f))
+                    break
+                if form[0] is And or form[0] is Implies:
+                    f = form[0](form[1], f)
+                else:
+                    f = Forall(form[0], form[1], f)
+                close()
+            else:
+                return f
 
     def sort(self) -> Sort:
         self.open_()
@@ -333,8 +353,15 @@ class _SxParser(_Reader):
             return PredOver(ty)
         raise ParseError(self.pos(self.i - 1), f"unknown sort form {tag!r}")
 
-    def type_(self) -> TypeExpr:
+    def too_deep(self):
+        raise ParseError(
+            self.pos(self.i - 1), f"type or term nested more than {MAX_SEXPR_NESTING} levels deep"
+        )
+
+    def type_(self, depth: int = 0) -> TypeExpr:
         self.open_()
+        if depth == MAX_SEXPR_NESTING:
+            self.too_deep()
         tag_at = self.i
         tag = self.atom("a type form")
         if tag == "var":
@@ -345,26 +372,28 @@ class _SxParser(_Reader):
             head = self.atom("a type constructor")
             args = []
             while self.peek() == "(":
-                args.append(self.type_())
+                args.append(self.type_(depth + 1))
             self.close_()
             return App(head, tuple(args))
         if tag == "tuple":
             elems = []
             while self.peek() == "(":
-                elems.append(self.type_())
+                elems.append(self.type_(depth + 1))
             if len(elems) < 2:
                 raise ParseError(self.pos(tag_at), "tuple type needs at least two components")
             self.close_()
             return TupleType(tuple(elems))
         if tag == "arrow":
-            domain = self.type_()
-            codomain = self.type_()
+            domain = self.type_(depth + 1)
+            codomain = self.type_(depth + 1)
             self.close_()
             return Arrow(domain, codomain)
         raise ParseError(self.pos(tag_at), f"unknown type form {tag!r}")
 
-    def term(self) -> Term:
+    def term(self, depth: int = 0) -> Term:
         self.open_()
+        if depth == MAX_SEXPR_NESTING:
+            self.too_deep()
         tag = self.atom("a term form")
         if tag == "var":
             name = self.atom("a term variable")
@@ -374,7 +403,7 @@ class _SxParser(_Reader):
             ctor = self.atom("a constructor name")
             args = []
             while self.peek() == "(":
-                args.append(self.term())
+                args.append(self.term(depth + 1))
             self.close_()
             return TApp(ctor, tuple(args))
         if tag == "bottom":

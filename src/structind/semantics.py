@@ -2,12 +2,16 @@
 
 The oracle enumerates ground terms of the declared type up to a depth
 bound, then checks the principle's quantifier-free core against every
-predicate in a family of subsets of that universe. Quantified clause
-variables range over the universe, and any quantifier instance whose
-constructed term falls outside the universe is skipped, so a correct
-principle can never fail: the universe is closed under immediate
-subterms, which makes the relativized induction scheme valid. A reported
-counterexample therefore always indicates a generator bug.
+predicate in a family of subsets of that universe. A predicate is an int
+bitmask over universe positions: bit i says whether it holds of
+universe[i]. Masks are tried as they are counted (exhaustive mode) or
+drawn (sampled mode). Quantified clause variables range over the
+universe, and any quantifier instance whose constructed term falls
+outside the universe is skipped, so a correct principle can never fail:
+the universe is closed under immediate subterms, which makes the
+relativized induction scheme valid. A reported counterexample, the first
+failing predicate (as the terms it holds of) with the first term it
+misses, therefore always indicates a generator bug.
 
 The enumerable fragment covers constructor arguments that are type
 parameters (carrier atoms) or applications headed by the declared type
@@ -272,10 +276,10 @@ class _RelativizedChecker:
     def __init__(self, decl: DataDecl, env: GroundEnv, universe: list[GroundTerm], formula: Formula):
         self.decl = decl
         self.universe = universe
-        self.in_universe = frozenset(universe)
+        self.position = dict(zip(universe, range(len(universe))))
         self.atoms = {p: [Atom(label, p) for label in env.carrier(p)] for p in decl.type_params}
         self.pred_name, self.conjunct_formulas = self._split(formula)
-        self.pred: frozenset[GroundTerm] = frozenset()
+        self.mask = 0
 
     def _split(self, formula: Formula) -> tuple[str, list[Formula]]:
         f = formula
@@ -298,16 +302,15 @@ class _RelativizedChecker:
             raise ValueError("conclusion does not quantify the declared type")
         return pred, conjuncts(body.antecedent)
 
-    def counterexample(self, pred: frozenset[GroundTerm]) -> Optional[GroundTerm]:
-        """First universe element refuting the principle under `pred`, if any."""
-        self.pred = pred
+    def counterexample(self, mask: int) -> Optional[GroundTerm]:
+        """First universe element refuting the principle under the predicate
+        whose bit i says whether it holds of universe[i], if any."""
+        self.mask = mask
         for clause in self.conjunct_formulas:
             if self._eval(clause, {}) is False:
                 return None
-        for t in self.universe:
-            if t not in pred:
-                return t
-        return None
+        missed = ~mask & ((1 << len(self.universe)) - 1)
+        return self.universe[(missed & -missed).bit_length() - 1] if missed else None
 
     def _eval(self, f: Formula, assign: dict[str, GroundTerm]) -> Optional[bool]:
         # None marks an instance that mentions a term outside the universe;
@@ -317,10 +320,10 @@ class _RelativizedChecker:
         if isinstance(f, PredApp):
             if f.pred != self.pred_name:
                 raise ValueError(f"unexpected predicate {f.pred!r} in clause")
-            g = self._ground(f.arg, assign)
-            if g not in self.in_universe:
+            i = self.position.get(self._ground(f.arg, assign))
+            if i is None:
                 return None
-            return g in self.pred
+            return self.mask >> i & 1 == 1
         if isinstance(f, And):
             a = self._eval(f.left, assign)
             b = self._eval(f.right, assign)
@@ -382,11 +385,11 @@ def check_principle(
     """Check one principle; the counterexample, if any, is the first one found."""
     decl = principle.decl
     if isinstance(mode, Exhaustive):
-        n = universe_size(decl, env, depth_bound, principle.pointed)
-        if n > EXHAUSTIVE_LIMIT:
+        size = universe_size(decl, env, depth_bound, principle.pointed, EXHAUSTIVE_LIMIT)
+        if size > EXHAUSTIVE_LIMIT:
             raise ValueError(
-                f"universe of size {n} is too large to check exhaustively "
-                f"(limit {EXHAUSTIVE_LIMIT}); use sampled mode"
+                f"universe of more than {EXHAUSTIVE_LIMIT} terms is too large to check "
+                "exhaustively; use sampled mode"
             )
     universe = enumerate_terms(decl, env, depth_bound, principle.pointed)
     checker = _RelativizedChecker(decl, env, universe, principle.formula)
@@ -401,10 +404,9 @@ def check_principle(
     checked = 0
     for mask in masks:
         checked += 1
-        pred = frozenset(universe[i] for i in range(n) if mask >> i & 1)
-        failing = checker.counterexample(pred)
+        failing = checker.counterexample(mask)
         if failing is not None:
-            witness = (tuple(t for t in universe if t in pred), failing)
+            witness = (tuple(t for i, t in enumerate(universe) if mask >> i & 1), failing)
             return SoundnessReport(decl.type_name, n, checked, mode, witness)
     return SoundnessReport(decl.type_name, n, checked, mode, None)
 

@@ -24,8 +24,9 @@ from structind.core import (
     Var,
 )
 from structind.generator import GenOptions, induction_principle
-from structind.parser import ParseError, parse_decl
+from structind.parser import MAX_TYPE_NESTING, ParseError, parse_decl
 from structind.render import (
+    MAX_SEXPR_NESTING,
     parse_sexpr,
     render_decl_source,
     render_latex,
@@ -209,6 +210,82 @@ class TestSexpr:
     def test_roundtrip_on_corpus(self, name, pointed):
         formula = principle_for(corpus.ALL[name], pointed=pointed).formula
         assert parse_sexpr(render_sexpr(formula)) == formula
+
+
+def _chain(form, depth, leaf="(true)"):
+    """`depth` copies of `form`, each holding the next as its last operand."""
+    return form * depth + leaf + ")" * depth
+
+
+class TestSexprNesting:
+    """Formula chains of any length read back; types and terms nest at most
+    MAX_SEXPR_NESTING forms deep. Results deeper than the interpreter's
+    recursion limit are walked with loops, never compared with ==."""
+
+    @pytest.mark.parametrize(
+        "form, node",
+        [
+            ("(and (true) ", And),
+            ("(implies (pred P (var x)) ", Implies),
+            ("(forall (x (ty (var a))) ", Forall),
+        ],
+    )
+    def test_long_chains_read_back(self, form, node):
+        f = parse_sexpr(_chain(form, 1200))
+        for _ in range(1200):
+            assert isinstance(f, node)
+            f = f.consequent if node is Implies else f.body if node is Forall else f.right
+        assert f == Truth()
+
+    def test_left_nested_chain_reads_back(self):
+        f = parse_sexpr("(and " * 1200 + "(true)" + " (true))" * 1200)
+        for _ in range(1200):
+            assert isinstance(f, And) and f.right == Truth()
+            f = f.left
+        assert f == Truth()
+
+    def test_errors_inside_a_long_chain_keep_their_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_sexpr("(and (true)\n" * 1200 + "(oops))")
+        assert (err.value.pos.line, err.value.pos.column) == (1201, 2)
+        assert err.value.message == "unknown formula form 'oops'"
+
+    @pytest.mark.parametrize(
+        "form, leaf",
+        [("(app L ", "(var a)"), ("(arrow (var a) ", "(var a)"), ("(tuple (var a) ", "(var a)")],
+    )
+    def test_types_at_the_cap_read_back(self, form, leaf):
+        ty = _chain(form, MAX_SEXPR_NESTING - 1, leaf)
+        assert parse_sexpr(f"(forall (x (ty {ty})) (true))") is not None
+
+    def test_terms_at_the_cap_read_back(self):
+        assert parse_sexpr(f"(pred P {_chain('(app S ', MAX_SEXPR_NESTING - 1, '(var x)')})")
+
+    @pytest.mark.parametrize(
+        "prefix, form, leaf, suffix",
+        [
+            ("(forall (x (ty ", "(app L ", "(var a)", ")) (true))"),
+            ("(forall (P (pred-over ", "(app L ", "(var a)", ")) (true))"),
+            ("(pred P ", "(app S ", "(var x)", ")"),
+        ],
+    )
+    def test_deeper_types_and_terms_are_positioned_errors(self, prefix, form, leaf, suffix):
+        with pytest.raises(ParseError) as err:
+            parse_sexpr(prefix + _chain(form, 1200, leaf) + suffix)
+        assert err.value.message == (
+            f"type or term nested more than {MAX_SEXPR_NESTING} levels deep"
+        )
+        # The first form past the cap opens after the prefix and the cap's forms.
+        offset = len(prefix) + len(form) * MAX_SEXPR_NESTING
+        assert (err.value.pos.line, err.value.pos.column) == (1, offset + 1)
+
+    def test_the_deepest_generated_type_reads_back(self):
+        # Each declaration level adds an arrow, an application and a tuple.
+        ty = "H a"
+        for _ in range(MAX_TYPE_NESTING - 1):
+            ty = f"H ({ty}, a) -> a"
+        text = render_sexpr(principle_for(f"data D a = D ({ty})").formula)
+        assert render_sexpr(parse_sexpr(text)) == text
 
 
 class TestDeclSource:

@@ -2,14 +2,17 @@
 
 import os
 import pickle
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import corpus
 import strategies
+from reference_check import reference_check
 from reference_enum import reference_terms
 from structind import semantics
 from structind.core import Principle
@@ -210,8 +213,15 @@ class TestCountedUniverse:
 
         monkeypatch.setattr(semantics, "enumerate_terms", no_enumeration)
         btree = parse_decl(corpus.BTREE)
-        with pytest.raises(ValueError, match="size 4371938082726 is too large"):
+        with pytest.raises(ValueError, match="universe of more than 20 terms is too large"):
             check_soundness(btree, GenOptions(), GroundEnv({"a": ("u", "v")}), 6, Exhaustive())
+
+    def test_exhaustive_refusal_stops_counting_at_the_limit(self):
+        # The exact count at depth 40 has billions of digits.
+        btree = parse_decl(corpus.BTREE)
+        env = GroundEnv({"a": ("u", "v")})
+        with pytest.raises(ValueError, match="universe of more than 20 terms is too large"):
+            check_soundness(btree, GenOptions(), env, 40, Exhaustive())
 
 
 class TestNode:
@@ -343,6 +353,75 @@ class TestSoundness:
         mode = Exhaustive() if len(universe) <= EXHAUSTIVE_LIMIT else Sampled(40, seed=3)
         report = check_soundness(decl, opts, env, depth, mode)
         assert report.passed
+
+
+def oracle_cases(name, depth, pointed):
+    """The generated principle and each clause-deletion mutant of a corpus
+    declaration, with its carriers."""
+    decl = parse_decl(corpus.ALL[name])
+    principles = [induction_principle(decl, GenOptions(pointed=pointed))]
+    principles += [delete_clause(decl, pointed, i) for i in range(len(decl.constructors))]
+    return GroundEnv.default_for(decl), principles
+
+
+# Every enumerable corpus declaration at depths 1-3, pointed and not, and
+# sampled universes of 127 to 1,446 terms. The oracle builds a set per
+# predicate, so exhaustive checks stop at 12 terms (4,096 predicates).
+ORACLE_EXHAUSTIVE_MAX = 12
+ORACLE_CORPUS = [(name, depth, pointed) for name, depth, pointed in ENUMERABLE if depth <= 3]
+ORACLE_SAMPLED = [
+    ("List", 7, False),
+    ("Tsil", 6, True),
+    ("BTree", 3, True),
+    ("STree", 3, True),
+    ("SwapTree", 3, True),
+    ("STree", 4, False),
+    ("SwapTree", 4, False),
+    ("BTree", 4, False),
+]
+
+
+class TestCheckerOracle:
+    """check_principle against tests/reference_check.py, whole reports."""
+
+    @pytest.mark.parametrize("name, depth, pointed", ORACLE_CORPUS)
+    def test_corpus_and_mutants(self, name, depth, pointed):
+        env, principles = oracle_cases(name, depth, pointed)
+        size = universe_size(principles[0].decl, env, depth, pointed)
+        mode = Exhaustive() if size <= ORACLE_EXHAUSTIVE_MAX else Sampled(200, seed=depth)
+        for principle in principles:
+            report = check_principle(principle, env, depth, mode)
+            assert report == reference_check(principle, env, depth, mode)
+
+    @pytest.mark.parametrize("name, depth, pointed", ORACLE_SAMPLED)
+    def test_sampled_large_universes(self, name, depth, pointed):
+        env, principles = oracle_cases(name, depth, pointed)
+        assert 100 <= universe_size(principles[0].decl, env, depth, pointed) <= 1500
+        for seed in (1, 2):
+            mode = Sampled(40, seed)
+            for principle in principles:
+                report = check_principle(principle, env, depth, mode)
+                assert report == reference_check(principle, env, depth, mode)
+
+    def test_the_comparison_covers_refutations(self):
+        verdicts = set()
+        for name, depth, pointed in ORACLE_CORPUS:
+            env, principles = oracle_cases(name, depth, pointed)
+            if universe_size(principles[0].decl, env, depth, pointed) <= 4:
+                mutants = principles[1:]
+                verdicts |= {check_principle(p, env, depth, Exhaustive()).passed for p in mutants}
+        assert verdicts == {True, False}
+
+
+SWEEP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "soundness_sweep.py"
+SWEEP_GOLDEN = Path(__file__).resolve().parent / "data" / "soundness_sweep.txt"
+
+
+def test_soundness_sweep_output_is_unchanged(monkeypatch, capsys):
+    """The sweep's verdicts and mutant witnesses, byte for byte."""
+    monkeypatch.setattr(sys, "argv", [str(SWEEP_SCRIPT)])
+    runpy.run_path(str(SWEEP_SCRIPT), run_name="__main__")
+    assert capsys.readouterr().out == SWEEP_GOLDEN.read_text(encoding="utf-8")
 
 
 class TestFormatGroundTerm:
