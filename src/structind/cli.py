@@ -26,8 +26,10 @@ from .semantics import (
     universe_size,
 )
 
-# A sampled check keeps the universe and each sampled predicate in memory:
-# about 200 B per term, so a million terms is a few hundred MB.
+# A sampled check keeps the universe's keys, their position dict and one
+# sampled predicate in memory: about 160 B per term, 170 B while they are
+# built (tracemalloc on universes of 260,000-460,000 terms), so a million
+# terms is under 200 MB.
 _MAX_UNIVERSE = 1_000_000
 
 _RENDERERS = {"text": render_text, "latex": render_latex, "sexpr": render_sexpr}

@@ -316,34 +316,35 @@ def _free_formula(
     pred_bound: frozenset[str],
     free: set[str],
 ) -> None:
-    if isinstance(f, Truth):
-        return
-    if isinstance(f, PredApp):
-        if f.pred not in pred_bound:
-            free.add(f.pred)
-        _free_term(f.arg, term_bound, free)
-        return
-    if isinstance(f, And):
-        _free_formula(f.left, term_bound, type_bound, pred_bound, free)
-        _free_formula(f.right, term_bound, type_bound, pred_bound, free)
-        return
-    if isinstance(f, Implies):
-        _free_formula(f.antecedent, term_bound, type_bound, pred_bound, free)
-        _free_formula(f.consequent, term_bound, type_bound, pred_bound, free)
-        return
-    if isinstance(f, Forall):
-        if not isinstance(f.sort, OfKindStar):
-            _free_type(f.sort.ty, type_bound, free)
-        ns = _binder_namespace(f.sort)
-        if ns == "type":
-            type_bound = type_bound | {f.var}
-        elif ns == "pred":
-            pred_bound = pred_bound | {f.var}
+    # The right spine (right conjuncts, consequents, quantifier bodies) is a
+    # loop, so long generated chains cost no stack depth.
+    while True:
+        if isinstance(f, Truth):
+            return
+        if isinstance(f, PredApp):
+            if f.pred not in pred_bound:
+                free.add(f.pred)
+            _free_term(f.arg, term_bound, free)
+            return
+        if isinstance(f, And):
+            _free_formula(f.left, term_bound, type_bound, pred_bound, free)
+            f = f.right
+        elif isinstance(f, Implies):
+            _free_formula(f.antecedent, term_bound, type_bound, pred_bound, free)
+            f = f.consequent
+        elif isinstance(f, Forall):
+            if not isinstance(f.sort, OfKindStar):
+                _free_type(f.sort.ty, type_bound, free)
+            ns = _binder_namespace(f.sort)
+            if ns == "type":
+                type_bound = type_bound | {f.var}
+            elif ns == "pred":
+                pred_bound = pred_bound | {f.var}
+            else:
+                term_bound = term_bound | {f.var}
+            f = f.body
         else:
-            term_bound = term_bound | {f.var}
-        _free_formula(f.body, term_bound, type_bound, pred_bound, free)
-        return
-    raise TypeError(f"not a formula: {f!r}")
+            raise TypeError(f"not a formula: {f!r}")
 
 
 # --- alpha equivalence ------------------------------------------------------------
@@ -437,45 +438,38 @@ def _alpha_formula(f1: Formula, f2: Formula, env1: _Env, env2: _Env, depth: int)
 # --- equivalence modulo binder permutation ------------------------------------------
 
 
-def _binder_run(f: Formula) -> tuple[list[tuple[str, Sort]], Formula]:
-    """Maximal leading run of Forall binders that can be soundly permuted.
-
-    A run stops as soon as reordering could change meaning: when a sort
-    references a type variable bound earlier in the run, when a type binder
-    would capture a variable referenced by an earlier sort, or when a name
-    repeats in its namespace.
-    """
-    run: list[tuple[str, Sort]] = []
-    bound_types: set[str] = set()
-    bound: set[tuple[str, str]] = set()
-    referenced: set[str] = set()
-    while isinstance(f, Forall):
-        ns = _binder_namespace(f.sort)
-        refs = _sort_type_vars(f.sort)
-        if refs & bound_types:
-            break
-        if ns == "type" and f.var in referenced:
-            break
-        if (ns, f.var) in bound:
-            break
-        run.append((f.var, f.sort))
-        bound.add((ns, f.var))
-        if ns == "type":
-            bound_types.add(f.var)
-        referenced |= refs
-        f = f.body
-    return run, f
-
-
 def prefix_perm_eq(f1: Formula, f2: Formula) -> bool:
-    """alpha_eq modulo permutation within independent adjacent binder runs."""
+    """alpha_eq modulo reordering within each chain of Forall binders, one
+    swap of adjacent commuting binders at a time (see `_commute`)."""
     return _ppe_formula(f1, f2, {}, {}, 0)
+
+
+def _binders(f: Formula) -> tuple[list[tuple[str, Sort]], Formula]:
+    """The leading Forall binders of `f`, outermost first, and their body."""
+    binders: list[tuple[str, Sort]] = []
+    while isinstance(f, Forall):
+        binders.append((f.var, f.sort))
+        f = f.body
+    return binders, f
+
+
+def _commute(outer: tuple[str, Sort], inner: tuple[str, Sort]) -> bool:
+    """Whether two adjacent binders can swap without changing meaning: they
+    do not bind the same name in one namespace, and neither binds a type
+    variable that the other's sort mentions."""
+    (v1, s1), (v2, s2) = outer, inner
+    ns1, ns2 = _binder_namespace(s1), _binder_namespace(s2)
+    return (
+        (ns1, v1) != (ns2, v2)
+        and not (ns1 == "type" and v1 in _sort_type_vars(s2))
+        and not (ns2 == "type" and v2 in _sort_type_vars(s1))
+    )
 
 
 def _ppe_formula(f1: Formula, f2: Formula, env1: _Env, env2: _Env, depth: int) -> bool:
     if isinstance(f1, Forall) and isinstance(f2, Forall):
-        run1, body1 = _binder_run(f1)
-        run2, body2 = _binder_run(f2)
+        run1, body1 = _binders(f1)
+        run2, body2 = _binders(f2)
         if len(run1) != len(run2):
             return False
         return _match_runs(run1, body1, run2, body2, env1, env2, depth)
@@ -505,11 +499,15 @@ def _match_runs(
     env2: _Env,
     depth: int,
 ) -> bool:
+    """Whether run2 can be brought into run1's order, up to renaming, by
+    moving binders outward past binders they commute with."""
     if not run1:
         return _ppe_formula(body1, body2, env1, env2, depth)
     v1, s1 = run1[0]
     for i, (v2, s2) in enumerate(run2):
         if not _alpha_sort(s1, s2, env1, env2):
+            continue
+        if not all(_commute(outer, run2[i]) for outer in run2[:i]):
             continue
         ns = _binder_namespace(s1)
         e1 = {**env1, (ns, v1): depth}

@@ -88,9 +88,15 @@ def conjoin(formulas: list[Formula]) -> Formula:
 
 def conjuncts(f: Formula) -> list[Formula]:
     """Flatten nested conjunctions back into a list."""
-    if isinstance(f, And):
-        return conjuncts(f.left) + conjuncts(f.right)
-    return [f]
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack += (f.right, f.left)
+        else:
+            out.append(f)
+    return out
 
 
 def _forall_terms(named: list[tuple[str, TypeExpr]], body: Formula) -> Formula:

@@ -128,35 +128,49 @@ def _sort(s: Sort, st: _Style) -> str:
 def _formula(
     f: Formula, st: _Style, top: bool, tscope: frozenset[str], ren: dict[str, str]
 ) -> str:
-    if isinstance(f, Truth):
-        return st.truth
-    if isinstance(f, PredApp):
-        head = _ident(ren.get(f.pred, f.pred), st)
-        return f"({head}{st.sep}{_term(f.arg, st, ren)})"
-    if isinstance(f, And):
-        s = _formula(f.left, st, False, tscope, ren) + st.wedge + _formula(
-            f.right, st, False, tscope, ren
-        )
-        return s if top else f"({s})"
-    if isinstance(f, Implies):
-        antecedent = _formula(f.antecedent, st, False, tscope, ren)
-        if isinstance(f.antecedent, Forall):
-            antecedent = f"({antecedent})"
-        s = antecedent + st.implies + _formula(f.consequent, st, False, tscope, ren)
-        return s if top else f"({s})"
-    if isinstance(f, Forall):
-        if isinstance(f.sort, OfKindStar):
+    # The right spine (quantifier bodies, right conjuncts, consequents) is
+    # walked in a loop, so the long chains the generator writes (a conjunct
+    # per constructor, a quantifier per argument) cost no stack depth. Each
+    # connective that is not on top opens a parenthesis that closes at the
+    # very end, because everything after it is its right operand.
+    out: list[str] = []
+    opened = 0
+    while True:
+        if isinstance(f, Forall):
             display = f.var
-            tscope = tscope | {f.var}
+            if isinstance(f.sort, OfKindStar):
+                tscope = tscope | {f.var}
+            else:
+                while display in tscope:
+                    display += "0"
+                if display != f.var:
+                    ren = {**ren, f.var: display}
+            out.append(f"{st.forall}{_ident(display, st)}:{_sort(f.sort, st)}. ")
+            f = f.body
+            continue
+        if isinstance(f, And):
+            left, connective, right = f.left, st.wedge, f.right
+        elif isinstance(f, Implies):
+            left, connective, right = f.antecedent, st.implies, f.consequent
         else:
-            display = f.var
-            while display in tscope:
-                display += "0"
-            if display != f.var:
-                ren = {**ren, f.var: display}
-        binder = f"{st.forall}{_ident(display, st)}:{_sort(f.sort, st)}. "
-        return binder + _formula(f.body, st, top, tscope, ren)
-    raise TypeError(f"not a formula: {f!r}")
+            break
+        if not top:
+            out.append("(")
+            opened += 1
+        operand = _formula(left, st, False, tscope, ren)
+        if isinstance(f, Implies) and isinstance(left, Forall):
+            operand = f"({operand})"
+        out.append(operand + connective)
+        f, top = right, False
+    if isinstance(f, Truth):
+        out.append(st.truth)
+    elif isinstance(f, PredApp):
+        head = _ident(ren.get(f.pred, f.pred), st)
+        out.append(f"({head}{st.sep}{_term(f.arg, st, ren)})")
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    out.append(")" * opened)
+    return "".join(out)
 
 
 def render_text(f: Formula) -> str:
@@ -211,17 +225,31 @@ def render_sexpr(f: Formula) -> str:
 
 
 def _sx_formula(f: Formula) -> str:
+    # As in _formula, the right spine is a loop: every form on it closes at
+    # the very end.
+    out: list[str] = []
+    opened = 0
+    while True:
+        if isinstance(f, And):
+            out.append(f"(and {_sx_formula(f.left)} ")
+            f = f.right
+        elif isinstance(f, Implies):
+            out.append(f"(implies {_sx_formula(f.antecedent)} ")
+            f = f.consequent
+        elif isinstance(f, Forall):
+            out.append(f"(forall ({f.var} {_sx_sort(f.sort)}) ")
+            f = f.body
+        else:
+            break
+        opened += 1
     if isinstance(f, Truth):
-        return "(true)"
-    if isinstance(f, PredApp):
-        return f"(pred {f.pred} {_sx_term(f.arg)})"
-    if isinstance(f, And):
-        return f"(and {_sx_formula(f.left)} {_sx_formula(f.right)})"
-    if isinstance(f, Implies):
-        return f"(implies {_sx_formula(f.antecedent)} {_sx_formula(f.consequent)})"
-    if isinstance(f, Forall):
-        return f"(forall ({f.var} {_sx_sort(f.sort)}) {_sx_formula(f.body)})"
-    raise TypeError(f"not a formula: {f!r}")
+        out.append("(true)")
+    elif isinstance(f, PredApp):
+        out.append(f"(pred {f.pred} {_sx_term(f.arg)})")
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    out.append(")" * opened)
+    return "".join(out)
 
 
 def _sx_sort(s: Sort) -> str:

@@ -11,7 +11,9 @@ outside the universe is skipped, so a correct principle can never fail:
 the universe is closed under immediate subterms, which makes the
 relativized induction scheme valid. A reported counterexample, the first
 failing predicate (as the terms it holds of) with the first term it
-misses, therefore always indicates a generator bug.
+misses, therefore always indicates a generator bug. The check itself
+works on hash-consed keys (`_intern`) and builds the `Node` terms only
+for a counterexample.
 
 The enumerable fragment covers constructor arguments that are type
 parameters (carrier atoms) or applications headed by the declared type
@@ -223,61 +225,105 @@ def enumerate_terms(
     first in pointed mode), then children lexicographically by universe
     position. Depth counts constructor nesting only: atoms and the bottom
     term have depth 1, and a node is one deeper than its deepest child of
-    the declared type. Layer d is built only from children of depth below
-    d with at least one child in layer d - 1.
+    the declared type.
     """
     ctors = _argument_slots(decl, env, depth_bound)
-    universe: list[GroundTerm] = [BottomTerm()] if pointed else []
-    for name, slots in ctors:
+    return _materialize(_intern(ctors, depth_bound, pointed), ctors)
+
+
+def _intern(
+    ctors: list[tuple[str, list[Optional[list[Atom]]]]], depth_bound: int, pointed: bool
+) -> list[tuple]:
+    """The universe as hash-consed keys, in enumerate_terms' order: `()` is
+    the bottom term, and a node is `(ctor, *args)` with each recursive
+    argument the child's universe position and each parameter argument
+    the atom's label. Keys hold only str and int, so hashing one runs no
+    Python code. Layer d is built only from children of depth below d with
+    at least one child in layer d - 1."""
+    shapes = [
+        (name, [None if atoms is None else [a.label for a in atoms] for atoms in slots])
+        for name, slots in ctors
+    ]
+    keys: list[tuple] = [()] if pointed else []
+    for name, slots in shapes:
         if None not in slots:
-            universe.extend(Node(name, combo) for combo in product(*slots))
-    start = 0  # universe[start:] is the newest layer
+            keys.extend((name, *combo) for combo in product(*slots))
+    start = 0  # keys[start:] is the newest layer
     for _ in range(2, depth_bound + 1):
-        end = len(universe)
+        end = len(keys)
         if start == end:
             break
-        old, new, below = universe[:start], universe[start:end], universe[:end]
-        for name, slots in ctors:
+        old, new, below = range(start), range(start, end), range(end)
+        for name, slots in shapes:
             if None in slots:
-                universe.extend(Node(name, combo) for combo in _layer_children(slots, old, new, below))
+                keys.extend((name, *combo) for combo in _layer_children(slots, old, new, below))
         start = end
-    return universe
+    return keys
 
 
 def _layer_children(
-    slots: list[Optional[list[Atom]]],
-    old: list[GroundTerm],
-    new: list[GroundTerm],
-    below: list[GroundTerm],
-) -> list[tuple[GroundTerm, ...]]:
-    """Argument tuples, in lexicographic order of universe position, whose
-    recursive arguments come from `below` (= old + new) with at least one
-    from `new`. Built from the last argument back: `free` holds every
-    suffix, `need` the suffixes with a child from `new`."""
-    free: list[tuple[GroundTerm, ...]] = [()]
-    need: list[tuple[GroundTerm, ...]] = []
+    slots: list[Optional[list[str]]], old: range, new: range, below: range
+) -> list[tuple]:
+    """Argument tuples, in lexicographic order, whose recursive arguments
+    are positions from `below` (= old + new) with at least one from `new`.
+    Built from the last argument back: `free` holds every suffix, `need`
+    the suffixes with a child from `new`."""
+    free: list[tuple] = [()]
+    need: list[tuple] = []
     for i in range(len(slots) - 1, -1, -1):
-        atoms = slots[i]
-        if atoms is None:
+        labels = slots[i]
+        if labels is None:
             need = [(c, *t) for c in old for t in need] + [(c, *t) for c in new for t in free]
         else:
-            need = [(a, *t) for a in atoms for t in need]
+            need = [(a, *t) for a in labels for t in need]
         if i:
-            free = [(c, *t) for c in (below if atoms is None else atoms) for t in free]
+            free = [(c, *t) for c in (below if labels is None else labels) for t in free]
     return need
+
+
+def _materialize(
+    keys: list[tuple], ctors: list[tuple[str, list[Optional[list[Atom]]]]]
+) -> list[GroundTerm]:
+    """The terms the keys stand for, in the same order."""
+    # The first constructor declared wins when two share a name, an
+    # argument position and a label; their keys are equal anyway.
+    atom_at = {
+        (name, i, a.label): a
+        for name, slots in reversed(ctors)
+        for i, atoms in enumerate(slots)
+        for a in atoms or ()
+    }
+    terms: list[GroundTerm] = []
+    for key in keys:
+        if not key:
+            terms.append(BottomTerm())
+            continue
+        name = key[0]
+        terms.append(
+            Node(
+                name,
+                tuple(
+                    atom_at[name, i, arg] if isinstance(arg, str) else terms[arg]
+                    for i, arg in enumerate(key[1:])
+                ),
+            )
+        )
+    return terms
 
 
 # --- the relativized check ----------------------------------------------------
 
 
 class _RelativizedChecker:
-    """Evaluates one principle over a fixed universe, one predicate at a time."""
+    """Evaluates one principle over a fixed universe of keys, one predicate
+    at a time. Term variables of the declared type range over universe
+    positions, and those of a parameter over its carrier's labels."""
 
-    def __init__(self, decl: DataDecl, env: GroundEnv, universe: list[GroundTerm], formula: Formula):
+    def __init__(self, decl: DataDecl, env: GroundEnv, keys: list[tuple], formula: Formula):
         self.decl = decl
-        self.universe = universe
-        self.position = dict(zip(universe, range(len(universe))))
-        self.atoms = {p: [Atom(label, p) for label in env.carrier(p)] for p in decl.type_params}
+        self.size = len(keys)
+        self.position = dict(zip(keys, range(self.size)))
+        self.labels = {p: env.carrier(p) for p in decl.type_params}
         self.pred_name, self.conjunct_formulas = self._split(formula)
         self.mask = 0
 
@@ -302,17 +348,18 @@ class _RelativizedChecker:
             raise ValueError("conclusion does not quantify the declared type")
         return pred, conjuncts(body.antecedent)
 
-    def counterexample(self, mask: int) -> Optional[GroundTerm]:
-        """First universe element refuting the principle under the predicate
-        whose bit i says whether it holds of universe[i], if any."""
+    def counterexample(self, mask: int) -> Optional[int]:
+        """Position of the first universe element refuting the principle
+        under the predicate whose bit i says whether it holds of the term
+        at position i, if any."""
         self.mask = mask
         for clause in self.conjunct_formulas:
             if self._eval(clause, {}) is False:
                 return None
-        missed = ~mask & ((1 << len(self.universe)) - 1)
-        return self.universe[(missed & -missed).bit_length() - 1] if missed else None
+        missed = ~mask & ((1 << self.size) - 1)
+        return (missed & -missed).bit_length() - 1 if missed else None
 
-    def _eval(self, f: Formula, assign: dict[str, GroundTerm]) -> Optional[bool]:
+    def _eval(self, f: Formula, assign: dict[str, int | str]) -> Optional[bool]:
         # None marks an instance that mentions a term outside the universe;
         # such instances are skipped rather than counted either way.
         if isinstance(f, Truth):
@@ -320,8 +367,8 @@ class _RelativizedChecker:
         if isinstance(f, PredApp):
             if f.pred != self.pred_name:
                 raise ValueError(f"unexpected predicate {f.pred!r} in clause")
-            i = self.position.get(self._ground(f.arg, assign))
-            if i is None:
+            i = self._ground(f.arg, assign)
+            if not isinstance(i, int):  # outside the universe, or an atom
                 return None
             return self.mask >> i & 1 == 1
         if isinstance(f, And):
@@ -343,27 +390,29 @@ class _RelativizedChecker:
             return True
         raise ValueError(f"unsupported formula node in clause: {f!r}")
 
-    def _sort_range(self, sort) -> Iterable[GroundTerm]:
+    def _sort_range(self, sort) -> Iterable[int | str]:
         if isinstance(sort, OfType):
             ty = sort.ty
             if isinstance(ty, Var):
                 try:
-                    return self.atoms[ty.name]
+                    return self.labels[ty.name]
                 except KeyError:
                     raise ValueError(f"unbound type variable {ty.name!r} in clause") from None
             if isinstance(ty, App) and ty.head == self.decl.type_name:
-                return self.universe
+                return range(self.size)
         raise UnsupportedTypeError(f"cannot range over sort {sort!r}")
 
-    def _ground(self, term, assign: dict[str, GroundTerm]) -> GroundTerm:
+    def _ground(self, term, assign: dict[str, int | str]) -> int | str | None:
+        """A term's universe position, an atom variable's label, or None for
+        a term outside the universe."""
         if isinstance(term, TVar):
             try:
                 return assign[term.name]
             except KeyError:
                 raise ValueError(f"unbound term variable {term.name!r} in clause") from None
         if isinstance(term, TApp):
-            return Node(term.ctor, tuple(self._ground(a, assign) for a in term.args))
-        return BottomTerm()
+            return self.position.get((term.ctor, *[self._ground(a, assign) for a in term.args]))
+        return self.position.get(())
 
 
 @dataclass(frozen=True)
@@ -391,9 +440,10 @@ def check_principle(
                 f"universe of more than {EXHAUSTIVE_LIMIT} terms is too large to check "
                 "exhaustively; use sampled mode"
             )
-    universe = enumerate_terms(decl, env, depth_bound, principle.pointed)
-    checker = _RelativizedChecker(decl, env, universe, principle.formula)
-    n = len(universe)
+    ctors = _argument_slots(decl, env, depth_bound)
+    keys = _intern(ctors, depth_bound, principle.pointed)
+    checker = _RelativizedChecker(decl, env, keys, principle.formula)
+    n = len(keys)
     if isinstance(mode, Exhaustive):
         masks: Iterable[int] = range(1 << n)
     elif isinstance(mode, Sampled):
@@ -404,9 +454,10 @@ def check_principle(
     checked = 0
     for mask in masks:
         checked += 1
-        failing = checker.counterexample(mask)
-        if failing is not None:
-            witness = (tuple(t for i, t in enumerate(universe) if mask >> i & 1), failing)
+        missed = checker.counterexample(mask)
+        if missed is not None:
+            universe = _materialize(keys, ctors)
+            witness = (tuple(t for i, t in enumerate(universe) if mask >> i & 1), universe[missed])
             return SoundnessReport(decl.type_name, n, checked, mode, witness)
     return SoundnessReport(decl.type_name, n, checked, mode, None)
 

@@ -9,7 +9,7 @@ import pytest
 import corpus
 from structind import cli, semantics
 from structind.parser import MAX_TYPE_NESTING
-from structind.render import parse_sexpr
+from structind.render import parse_sexpr, render_sexpr
 from structind.semantics import Exhaustive, Node, SoundnessReport
 
 
@@ -108,9 +108,10 @@ class TestCheck:
 
     def test_oversized_universe_is_refused_before_enumerating(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
-            raise AssertionError("enumerate_terms called")
+            raise AssertionError("the universe was built")
 
         monkeypatch.setattr(semantics, "enumerate_terms", fail)
+        monkeypatch.setattr(semantics, "_intern", fail)
         monkeypatch.setattr(cli, "enumerate_terms", fail)
         path = tmp_path / "btree.hs"
         path.write_text(corpus.BTREE, encoding="utf-8")
@@ -187,6 +188,26 @@ class TestErrors:
         assert out.startswith(f"{cli._COMMENT[fmt]} D\n")
         if fmt == "sexpr":
             assert parse_sexpr(out.split("\n")[1]) is not None
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "sexpr"])
+    def test_long_generated_chains_go_through(self, fmt, monkeypatch, capsys):
+        # A conjunct per constructor and a quantifier per argument, each
+        # chain longer than the interpreter's recursion limit.
+        many = "data Many = " + " | ".join(f"C{i}" for i in range(1500))
+        wide = "data Wide a = Leaf | Node" + " a (Wide a)" * 600
+        for text, flags, summary in [
+            (many, ["--check"], "Many: pass (universe 1500, sampled 200 predicates"),
+            (wide, [], None),
+        ]:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert cli.main(["--format", fmt, *flags]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            lines = captured.out.split("\n")
+            if summary:
+                assert lines[3].startswith(f"{cli._COMMENT[fmt]} {summary}")
+            if fmt == "sexpr":
+                assert render_sexpr(parse_sexpr(lines[1])) == lines[1]
 
     def test_missing_file(self):
         result = run_cli(["/no/such/file"])

@@ -25,7 +25,8 @@ from structind.core import (
     TVar,
     Truth,
     Var,
-    _binder_run,
+    _binder_namespace,
+    _sort_type_vars,
     alpha_eq,
     free_vars,
     prefix_perm_eq,
@@ -159,10 +160,41 @@ class TestAlphaEq:
         assert alpha_eq(f, f)
 
 
+def binder_run(f: Formula) -> tuple[list[tuple[str, Sort]], Formula]:
+    """Maximal leading run of Forall binders that can be soundly permuted,
+    so that any order of the run is equivalent.
+
+    A run stops as soon as reordering could change meaning: when a sort
+    references a type variable bound earlier in the run, when a type binder
+    would capture a variable referenced by an earlier sort, or when a name
+    repeats in its namespace.
+    """
+    run: list[tuple[str, Sort]] = []
+    bound_types: set[str] = set()
+    bound: set[tuple[str, str]] = set()
+    referenced: set[str] = set()
+    while isinstance(f, Forall):
+        ns = _binder_namespace(f.sort)
+        refs = _sort_type_vars(f.sort)
+        if refs & bound_types:
+            break
+        if ns == "type" and f.var in referenced:
+            break
+        if (ns, f.var) in bound:
+            break
+        run.append((f.var, f.sort))
+        bound.add((ns, f.var))
+        if ns == "type":
+            bound_types.add(f.var)
+        referenced |= refs
+        f = f.body
+    return run, f
+
+
 def permute_runs(f: Formula, order) -> Formula:
     """Rebuild `f` with every permutable binder run reversed."""
     if isinstance(f, Forall):
-        run, body = _binder_run(f)
+        run, body = binder_run(f)
         if not run:
             return f
         new_body = permute_runs(body, order)
@@ -200,6 +232,21 @@ class TestPrefixPermEq:
         left = Forall("x", OfType(NAT), Forall("y", OfType(App("Bool")), Truth()))
         right = Forall("y", OfType(App("Bool")), Forall("x", OfType(NAT), Truth()))
         assert prefix_perm_eq(And(left, Truth()), And(right, Truth()))
+
+    def test_binders_move_past_the_ones_they_commute_with(self):
+        # P's sort mentions b, so b cannot move outward past P, but a can;
+        # the leading runs of f and g split at different binders.
+        sort = OfType(App("A", (Var("b"),)))
+        f = Forall("P", sort, Forall("b", OF_KIND_STAR, Forall("a", OF_KIND_STAR, Truth())))
+        g = Forall("P", sort, Forall("a", OF_KIND_STAR, Forall("b", OF_KIND_STAR, Truth())))
+        h = Forall("b", OF_KIND_STAR, Forall("P", sort, Forall("a", OF_KIND_STAR, Truth())))
+        assert prefix_perm_eq(f, g) and prefix_perm_eq(g, f)
+        assert not prefix_perm_eq(f, h) and not prefix_perm_eq(h, f)
+
+    def test_contains_alpha_eq_with_a_shadowed_binder(self):
+        f = Forall("k", OF_KIND_STAR, Forall("Q", OF_KIND_STAR, Forall("k", OF_KIND_STAR, Truth())))
+        g = Forall("i", OF_KIND_STAR, Forall("Q", OF_KIND_STAR, Forall("k", OF_KIND_STAR, Truth())))
+        assert alpha_eq(f, g) and prefix_perm_eq(f, g)
 
     def test_contains_alpha_eq_on_distinct_binders(self):
         assert prefix_perm_eq(nat_principle("n1", "n"), nat_principle("k1", "k"))

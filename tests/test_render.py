@@ -22,6 +22,7 @@ from structind.core import (
     TVar,
     Truth,
     Var,
+    free_vars,
 )
 from structind.generator import GenOptions, induction_principle
 from structind.parser import MAX_TYPE_NESTING, ParseError, parse_decl
@@ -218,9 +219,10 @@ def _chain(form, depth, leaf="(true)"):
 
 
 class TestSexprNesting:
-    """Formula chains of any length read back; types and terms nest at most
-    MAX_SEXPR_NESTING forms deep. Results deeper than the interpreter's
-    recursion limit are walked with loops, never compared with ==."""
+    """Formula chains of any length read back, render and give their free
+    variables; types and terms nest at most MAX_SEXPR_NESTING forms deep.
+    Results deeper than the interpreter's recursion limit are walked with
+    loops, never compared with ==."""
 
     @pytest.mark.parametrize(
         "form, node",
@@ -236,6 +238,26 @@ class TestSexprNesting:
             assert isinstance(f, node)
             f = f.consequent if node is Implies else f.body if node is Forall else f.right
         assert f == Truth()
+
+    @pytest.mark.parametrize(
+        "form, free",
+        [
+            ("(and (true) ", set()),
+            ("(implies (pred P (var x)) ", {"P", "x"}),
+            ("(forall (x (ty (var a))) ", {"a"}),
+        ],
+    )
+    def test_long_chains_render_and_analyse(self, form, free):
+        text = _chain(form, 1200)
+        f = parse_sexpr(text)
+        assert render_sexpr(f) == text
+        assert free_vars(f) == free
+        assert render_text(f) and render_latex(f)
+
+    def test_long_and_chain_text_and_latex(self):
+        f = parse_sexpr(_chain("(and (true) ", 1200))
+        assert render_text(f) == "⊤ ∧ (" * 1199 + "⊤ ∧ ⊤" + ")" * 1199
+        assert render_latex(f) == "\\top \\wedge (" * 1199 + "\\top \\wedge \\top" + ")" * 1199
 
     def test_left_nested_chain_reads_back(self):
         f = parse_sexpr("(and " * 1200 + "(true)" + " (true))" * 1200)

@@ -15,7 +15,7 @@ import strategies
 from reference_check import reference_check
 from reference_enum import reference_terms
 from structind import semantics
-from structind.core import Principle
+from structind.core import Forall, OfType, PredApp, Principle, TApp, TVar, Var
 from structind.generator import GenOptions, assemble, induction_principle
 from structind.parser import parse_decl
 from structind.semantics import (
@@ -212,6 +212,7 @@ class TestCountedUniverse:
             raise AssertionError("the universe was built")
 
         monkeypatch.setattr(semantics, "enumerate_terms", no_enumeration)
+        monkeypatch.setattr(semantics, "_intern", no_enumeration)
         btree = parse_decl(corpus.BTREE)
         with pytest.raises(ValueError, match="universe of more than 20 terms is too large"):
             check_soundness(btree, GenOptions(), GroundEnv({"a": ("u", "v")}), 6, Exhaustive())
@@ -331,6 +332,18 @@ class TestSoundness:
         assert first == second
         assert not first.passed
 
+    def test_a_passing_check_builds_and_hashes_no_term(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("a ground term was built or hashed")
+
+        btree = parse_decl(corpus.BTREE)
+        env = GroundEnv({"a": ("u", "v")})
+        assert universe_size(btree, env, 4) == 1446
+        monkeypatch.setattr(Node, "__post_init__", fail)
+        monkeypatch.setattr(Atom, "__hash__", fail)
+        report = check_soundness(btree, GenOptions(), env, 4, Sampled(40, seed=1))
+        assert report.passed and report.universe_size == 1446
+
     def test_unsupported_type_raises(self):
         with pytest.raises(UnsupportedTypeError):
             check_soundness(
@@ -402,6 +415,51 @@ class TestCheckerOracle:
             for principle in principles:
                 report = check_principle(principle, env, depth, mode)
                 assert report == reference_check(principle, env, depth, mode)
+
+    # Keys hold an atom's label without its parameter; the position of the
+    # argument tells which parameter it belongs to.
+    @pytest.mark.parametrize(
+        "source", [corpus.SWAPTREE, "data Two a b = L a | R b | B a b (Two a b)"]
+    )
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("pointed", [False, True])
+    def test_parameters_sharing_a_label(self, source, depth, pointed):
+        decl = parse_decl(source)
+        env = GroundEnv({"a": ("u",), "b": ("u",)})
+        principles = [induction_principle(decl, GenOptions(pointed=pointed))]
+        principles += [delete_clause(decl, pointed, i) for i in range(len(decl.constructors))]
+        size = universe_size(decl, env, depth, pointed)
+        mode = Exhaustive() if size <= ORACLE_EXHAUSTIVE_MAX else Sampled(200, seed=depth)
+        for principle in principles:
+            report = check_principle(principle, env, depth, mode)
+            assert report == reference_check(principle, env, depth, mode)
+
+    @pytest.mark.parametrize(
+        "conclusion",
+        [
+            # An atom variable in the recursive position of Cons.
+            PredApp("P", TApp("Cons", (TVar("x"), TVar("x")))),
+            # The predicate applied to an atom variable.
+            PredApp("P", TVar("x")),
+        ],
+    )
+    @pytest.mark.parametrize("pointed", [False, True])
+    def test_ill_typed_instances_are_skipped(self, conclusion, pointed):
+        decl = parse_decl(corpus.LIST)
+        env = GroundEnv.default_for(decl)
+        nil = induction_principle(decl, GenOptions(pointed=pointed)).clauses[0]
+        bad = Forall("x", OfType(Var("a")), conclusion)
+        principle = Principle(
+            decl, pointed, assemble(decl, pointed, [nil[1], bad]), (nil, ("Cons", bad))
+        )
+        for depth in (1, 2, 3):
+            size = universe_size(decl, env, depth, pointed)
+            mode = Exhaustive() if size <= ORACLE_EXHAUSTIVE_MAX else Sampled(200)
+            report = check_principle(principle, env, depth, mode)
+            assert report == reference_check(principle, env, depth, mode)
+            # Every instance of the bad clause is skipped, so the principle
+            # fails as if the clause were missing.
+            assert report.passed == (depth == 1)
 
     def test_the_comparison_covers_refutations(self):
         verdicts = set()
