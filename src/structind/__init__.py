@@ -17,8 +17,6 @@ from .core import (
     Forall,
     Formula,
     Implies,
-    KIND_STAR,
-    KindStar,
     OF_KIND_STAR,
     OfKindStar,
     OfType,
@@ -27,7 +25,6 @@ from .core import (
     Principle,
     Sort,
     TApp,
-    TRUTH,
     TVar,
     Term,
     TupleType,
@@ -68,7 +65,6 @@ from .semantics import (
     SoundnessReport,
     UnsupportedTypeError,
     check_principle,
-    check_soundness,
     enumerate_terms,
     immediate_subterms,
     universe_size,

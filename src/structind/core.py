@@ -8,7 +8,9 @@ constants, never variables.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 
 # --- identifiers -------------------------------------------------------------
@@ -64,20 +66,11 @@ class Arrow:
     codomain: TypeExpr
 
 
-@dataclass(frozen=True)
-class KindStar:
-    """The kind of ground types; only legal at a binder annotation."""
-
-
-TypeExpr = Var | App | TupleType | Arrow | KindStar
-
-KIND_STAR = KindStar()
+TypeExpr = Var | App | TupleType | Arrow
 
 
 def ty_con(ty: TypeExpr) -> str | None:
     """Head constructor name of an applied type, None for everything else."""
-    if isinstance(ty, KindStar):
-        raise ValueError("the kind * is not a type expression")
     if isinstance(ty, App):
         return ty.head
     return None
@@ -147,6 +140,9 @@ class DataDecl:
             seen.add(p)
         if not self.constructors:
             raise ValueError(f"type {self.type_name} declares no constructors")
+        repeated = [n for n, k in Counter(c.name for c in self.constructors).items() if k > 1]
+        if repeated:
+            raise ValueError(f"duplicate constructor {repeated[0]!r}")
         for ctor in self.constructors:
             for ty in ctor.arg_types:
                 loose = type_vars(ty) - seen
@@ -244,8 +240,6 @@ class Forall:
 
 Formula = Truth | PredApp | And | Implies | Forall
 
-TRUTH = Truth()
-
 
 @dataclass(frozen=True)
 class Principle:
@@ -258,27 +252,27 @@ class Principle:
 
 
 def subformulas(f: Formula):
-    """Yield f and every formula nested inside it, outermost first."""
-    yield f
-    if isinstance(f, And):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, Implies):
-        yield from subformulas(f.antecedent)
-        yield from subformulas(f.consequent)
-    elif isinstance(f, Forall):
-        yield from subformulas(f.body)
+    """Yield f and every formula nested inside it, outermost first and left
+    before right. The formulas still to visit wait on a stack, so long
+    chains cost no recursion."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        yield f
+        if isinstance(f, (And, Implies)):
+            stack += reversed(vars(f).values())
+        elif isinstance(f, Forall):
+            stack.append(f.body)
 
 
 # --- free variables -------------------------------------------------------------
 
 
+_NAMESPACES = {OfKindStar: "type", PredOver: "pred"}
+
+
 def _binder_namespace(sort: Sort) -> str:
-    if isinstance(sort, OfKindStar):
-        return "type"
-    if isinstance(sort, PredOver):
-        return "pred"
-    return "term"
+    return _NAMESPACES.get(sort.__class__, "term")
 
 
 def _sort_type_vars(sort: Sort) -> set[str]:
@@ -288,230 +282,196 @@ def _sort_type_vars(sort: Sort) -> set[str]:
 
 
 def free_vars(f: Formula) -> set[str]:
-    """Free variables of a formula, across all three namespaces."""
+    """Free variables of a formula, across all three namespaces. What is
+    still to visit waits on a stack, with the binders in scope there."""
     free: set[str] = set()
-    _free_formula(f, frozenset(), frozenset(), frozenset(), free)
+    stack: list[tuple] = [(f, frozenset())]
+    while stack:
+        x, bound = stack.pop()
+        if isinstance(x, TVar):
+            if ("term", x.name) not in bound:
+                free.add(x.name)
+        elif isinstance(x, PredApp):
+            if ("pred", x.pred) not in bound:
+                free.add(x.pred)
+            stack.append((x.arg, bound))
+        elif isinstance(x, (And, Implies)):
+            stack += ((y, bound) for y in vars(x).values())
+        elif isinstance(x, TApp):
+            stack += ((y, bound) for y in x.args)
+        elif isinstance(x, Forall):
+            free |= {a for a in _sort_type_vars(x.sort) if ("type", a) not in bound}
+            stack.append((x.body, bound | {(_binder_namespace(x.sort), x.var)}))
+        elif not isinstance(x, (Truth, Bottom)):
+            raise TypeError(f"not a formula: {x!r}")
     return free
 
 
-def _free_type(ty: TypeExpr, bound: frozenset[str], free: set[str]) -> None:
-    for v in type_vars(ty):
-        if v not in bound:
-            free.add(v)
-
-
-def _free_term(t: Term, bound: frozenset[str], free: set[str]) -> None:
-    if isinstance(t, TVar):
-        if t.name not in bound:
-            free.add(t.name)
-    elif isinstance(t, TApp):
-        for arg in t.args:
-            _free_term(arg, bound, free)
-
-
-def _free_formula(
-    f: Formula,
-    term_bound: frozenset[str],
-    type_bound: frozenset[str],
-    pred_bound: frozenset[str],
-    free: set[str],
-) -> None:
-    # The right spine (right conjuncts, consequents, quantifier bodies) is a
-    # loop, so long generated chains cost no stack depth.
-    while True:
-        if isinstance(f, Truth):
-            return
-        if isinstance(f, PredApp):
-            if f.pred not in pred_bound:
-                free.add(f.pred)
-            _free_term(f.arg, term_bound, free)
-            return
-        if isinstance(f, And):
-            _free_formula(f.left, term_bound, type_bound, pred_bound, free)
-            f = f.right
-        elif isinstance(f, Implies):
-            _free_formula(f.antecedent, term_bound, type_bound, pred_bound, free)
-            f = f.consequent
-        elif isinstance(f, Forall):
-            if not isinstance(f.sort, OfKindStar):
-                _free_type(f.sort.ty, type_bound, free)
-            ns = _binder_namespace(f.sort)
-            if ns == "type":
-                type_bound = type_bound | {f.var}
-            elif ns == "pred":
-                pred_bound = pred_bound | {f.var}
-            else:
-                term_bound = term_bound | {f.var}
-            f = f.body
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-
-
-# --- alpha equivalence ------------------------------------------------------------
-# Environments map (namespace, name) to the nesting depth of the binder, so
-# two formulas agree exactly when corresponding occurrences resolve to the
-# same depth (or are both free with the same name).
-
-_Env = dict[tuple[str, str], int]
+# --- equivalence ---------------------------------------------------------------------
+# Both equivalences are one walk over a pair of formulas. Binders get numbers
+# in the order the walk opens them, the same on both sides, and environments
+# map (namespace, name) to the number of the binder in scope. A run is a
+# group of binders that may be reordered: each binder on its own for
+# alpha_eq, each maximal chain of Foralls for prefix_perm_eq.
 
 
 def alpha_eq(f1: Formula, f2: Formula) -> bool:
     """Structural equality up to consistent renaming of bound variables."""
-    return _alpha_formula(f1, f2, {}, {}, 0)
-
-
-def _alpha_name(ns: str, n1: str, n2: str, env1: _Env, env2: _Env) -> bool:
-    d1 = env1.get((ns, n1))
-    d2 = env2.get((ns, n2))
-    if d1 is None and d2 is None:
-        return n1 == n2
-    return d1 == d2
-
-
-def _alpha_type(t1: TypeExpr, t2: TypeExpr, env1: _Env, env2: _Env) -> bool:
-    if isinstance(t1, Var) and isinstance(t2, Var):
-        return _alpha_name("type", t1.name, t2.name, env1, env2)
-    if isinstance(t1, App) and isinstance(t2, App):
-        return (
-            t1.head == t2.head
-            and len(t1.args) == len(t2.args)
-            and all(_alpha_type(a, b, env1, env2) for a, b in zip(t1.args, t2.args))
-        )
-    if isinstance(t1, TupleType) and isinstance(t2, TupleType):
-        return len(t1.elems) == len(t2.elems) and all(
-            _alpha_type(a, b, env1, env2) for a, b in zip(t1.elems, t2.elems)
-        )
-    if isinstance(t1, Arrow) and isinstance(t2, Arrow):
-        return _alpha_type(t1.domain, t2.domain, env1, env2) and _alpha_type(
-            t1.codomain, t2.codomain, env1, env2
-        )
-    return isinstance(t1, KindStar) and isinstance(t2, KindStar)
-
-
-def _alpha_term(t1: Term, t2: Term, env1: _Env, env2: _Env) -> bool:
-    if isinstance(t1, TVar) and isinstance(t2, TVar):
-        return _alpha_name("term", t1.name, t2.name, env1, env2)
-    if isinstance(t1, TApp) and isinstance(t2, TApp):
-        return (
-            t1.ctor == t2.ctor
-            and len(t1.args) == len(t2.args)
-            and all(_alpha_term(a, b, env1, env2) for a, b in zip(t1.args, t2.args))
-        )
-    return isinstance(t1, Bottom) and isinstance(t2, Bottom)
-
-
-def _alpha_sort(s1: Sort, s2: Sort, env1: _Env, env2: _Env) -> bool:
-    if isinstance(s1, OfKindStar) and isinstance(s2, OfKindStar):
-        return True
-    if isinstance(s1, OfType) and isinstance(s2, OfType):
-        return _alpha_type(s1.ty, s2.ty, env1, env2)
-    if isinstance(s1, PredOver) and isinstance(s2, PredOver):
-        return _alpha_type(s1.ty, s2.ty, env1, env2)
-    return False
-
-
-def _alpha_formula(f1: Formula, f2: Formula, env1: _Env, env2: _Env, depth: int) -> bool:
-    if isinstance(f1, Truth) and isinstance(f2, Truth):
-        return True
-    if isinstance(f1, PredApp) and isinstance(f2, PredApp):
-        return _alpha_name("pred", f1.pred, f2.pred, env1, env2) and _alpha_term(
-            f1.arg, f2.arg, env1, env2
-        )
-    if isinstance(f1, And) and isinstance(f2, And):
-        return _alpha_formula(f1.left, f2.left, env1, env2, depth) and _alpha_formula(
-            f1.right, f2.right, env1, env2, depth
-        )
-    if isinstance(f1, Implies) and isinstance(f2, Implies):
-        return _alpha_formula(
-            f1.antecedent, f2.antecedent, env1, env2, depth
-        ) and _alpha_formula(f1.consequent, f2.consequent, env1, env2, depth)
-    if isinstance(f1, Forall) and isinstance(f2, Forall):
-        if not _alpha_sort(f1.sort, f2.sort, env1, env2):
-            return False
-        ns = _binder_namespace(f1.sort)
-        e1 = {**env1, (ns, f1.var): depth}
-        e2 = {**env2, (ns, f2.var): depth}
-        return _alpha_formula(f1.body, f2.body, e1, e2, depth + 1)
-    return False
-
-
-# --- equivalence modulo binder permutation ------------------------------------------
+    return _Walk(False).equal([(f1, f2, {}, {})])
 
 
 def prefix_perm_eq(f1: Formula, f2: Formula) -> bool:
     """alpha_eq modulo reordering within each chain of Forall binders, one
     swap of adjacent commuting binders at a time (see `_commute`)."""
-    return _ppe_formula(f1, f2, {}, {}, 0)
+    return _Walk(True).equal([(f1, f2, {}, {})])
 
 
-def _binders(f: Formula) -> tuple[list[tuple[str, Sort]], Formula]:
-    """The leading Forall binders of `f`, outermost first, and their body."""
-    binders: list[tuple[str, Sort]] = []
-    while isinstance(f, Forall):
-        binders.append((f.var, f.sort))
+def _commute(outer: tuple, inner: tuple) -> bool:
+    """Whether two adjacent binders (name, sort, ...) can swap without
+    changing meaning: they do not bind the same name in one namespace, and
+    neither binds a type variable that the other's sort mentions."""
+    (v1, s1), (v2, s2) = outer[:2], inner[:2]
+    k1, k2 = (_binder_namespace(s1), v1), (_binder_namespace(s2), v2)
+    return k1 != k2 and k1 not in _mentions(s2) and k2 not in _mentions(s1)
+
+
+def _mentions(sort: Sort) -> set[tuple[str, str]]:
+    return {("type", a) for a in _sort_type_vars(sort)}
+
+
+def _open(f: Forall, env: dict, binders: list[tuple]) -> tuple[dict, Formula]:
+    """Number the leading chain of binders of `f` on from `binders`, each
+    with the environment its sort is read in, and return the environment
+    inside the chain and its body. Sorts mention only type variables, so
+    they share one environment until a type binder binds in a copy."""
+    env = dict(env)
+    while f.__class__ is Forall:
+        ns = _NAMESPACES.get(f.sort.__class__, "term")
+        if ns == "type":
+            env = dict(env)
+        binders.append((f.var, f.sort, env))
+        env[ns, f.var] = len(binders) - 1
         f = f.body
-    return binders, f
+    return env, f
 
 
-def _commute(outer: tuple[str, Sort], inner: tuple[str, Sort]) -> bool:
-    """Whether two adjacent binders can swap without changing meaning: they
-    do not bind the same name in one namespace, and neither binds a type
-    variable that the other's sort mentions."""
-    (v1, s1), (v2, s2) = outer, inner
-    ns1, ns2 = _binder_namespace(s1), _binder_namespace(s2)
-    return (
-        (ns1, v1) != (ns2, v2)
-        and not (ns1 == "type" and v1 in _sort_type_vars(s2))
-        and not (ns2 == "type" and v2 in _sort_type_vars(s1))
-    )
+class _Walk:
+    """One comparison, with the binders it has numbered and paired."""
 
+    def __init__(self, runs: bool):
+        self.runs = runs
+        self.binders1: list[tuple] = []  # by number: name, sort, the sort's environment
+        self.binders2: list[tuple] = []
+        self.run: list[int] = []  # by number, the first number of the binder's run
+        self.pairs: dict[int, int] = {}  # b1 -> b2 and ~b2 -> b1 for each pair
 
-def _ppe_formula(f1: Formula, f2: Formula, env1: _Env, env2: _Env, depth: int) -> bool:
-    if isinstance(f1, Forall) and isinstance(f2, Forall):
-        run1, body1 = _binders(f1)
-        run2, body2 = _binders(f2)
-        if len(run1) != len(run2):
-            return False
-        return _match_runs(run1, body1, run2, body2, env1, env2, depth)
-    if isinstance(f1, Truth) and isinstance(f2, Truth):
+    def equal(self, stack: list[tuple]) -> bool:
+        """Whether each pair of formulas, sorts, types or terms on the stack
+        agrees, each side in its environment. Below a chain's body the stack
+        holds the chain to close."""
+        while stack:
+            x1, x2, env1, env2 = stack.pop()
+            cls = x1.__class__
+            if cls is not x2.__class__:
+                return False
+            if cls is TVar or cls is Var or cls is PredApp:
+                ns = "term" if cls is TVar else "type" if cls is Var else "pred"
+                n1, n2 = (x1.pred, x2.pred) if cls is PredApp else (x1.name, x2.name)
+                b1, b2 = env1.get((ns, n1)), env2.get((ns, n2))
+                if b1 is None or b2 is None:
+                    if b1 is not b2 or n1 != n2:
+                        return False
+                elif not self._pair(b1, b2, stack):
+                    return False
+                if cls is PredApp:
+                    stack.append((x1.arg, x2.arg, env1, env2))
+            elif cls is App:
+                if x1.head != x2.head or len(x1.args) != len(x2.args):
+                    return False
+                stack += zip(x1.args, x2.args, repeat(env1), repeat(env2))
+            elif cls is OfType or cls is PredOver:
+                stack.append((x1.ty, x2.ty, env1, env2))
+            elif cls is And:
+                stack += (x1.right, x2.right, env1, env2), (x1.left, x2.left, env1, env2)
+            elif cls is Forall:
+                first = len(self.run)
+                env1, body1 = _open(x1, env1, self.binders1)
+                env2, body2 = _open(x2, env2, self.binders2)
+                n = len(self.binders1) - first
+                if len(self.binders2) - first != n:
+                    return False
+                self.run += [first] * n if self.runs else range(first, first + n)
+                chain = (first, n)
+                stack += (chain, chain, env1, env2), (body1, body2, env1, env2)
+            elif cls is tuple:
+                if not self._close(*x1):
+                    return False
+            else:  # constructor and type constructor names are constants
+                for a, b in zip(vars(x1).values(), vars(x2).values()):
+                    if a.__class__ is str:
+                        if a != b:
+                            return False
+                    elif a.__class__ is tuple:
+                        if len(a) != len(b):
+                            return False
+                        stack += zip(a, b, repeat(env1), repeat(env2))
+                    else:
+                        stack.append((a, b, env1, env2))
         return True
-    if isinstance(f1, PredApp) and isinstance(f2, PredApp):
-        return _alpha_name("pred", f1.pred, f2.pred, env1, env2) and _alpha_term(
-            f1.arg, f2.arg, env1, env2
-        )
-    if isinstance(f1, And) and isinstance(f2, And):
-        return _ppe_formula(f1.left, f2.left, env1, env2, depth) and _ppe_formula(
-            f1.right, f2.right, env1, env2, depth
-        )
-    if isinstance(f1, Implies) and isinstance(f2, Implies):
-        return _ppe_formula(
-            f1.antecedent, f2.antecedent, env1, env2, depth
-        ) and _ppe_formula(f1.consequent, f2.consequent, env1, env2, depth)
-    return False
 
+    def _pair(self, b1: int, b2: int, stack: list[tuple]) -> bool:
+        """Whether binders b1 and b2 are, or can become, a pair of one run.
+        Pairing them puts their sorts on the stack to compare."""
+        if b1 in self.pairs:
+            return self.pairs[b1] == b2
+        if ~b2 in self.pairs or self.run[b1] != self.run[b2]:
+            return False
+        self.pairs[b1], self.pairs[~b2] = b2, b1
+        (_, sort1, scope1), (_, sort2, scope2) = self.binders1[b1], self.binders2[b2]
+        stack.append((sort1, sort2, scope1, scope2))
+        return True
 
-def _match_runs(
-    run1: list[tuple[str, Sort]],
-    body1: Formula,
-    run2: list[tuple[str, Sort]],
-    body2: Formula,
-    env1: _Env,
-    env2: _Env,
-    depth: int,
-) -> bool:
-    """Whether run2 can be brought into run1's order, up to renaming, by
-    moving binders outward past binders they commute with."""
-    if not run1:
-        return _ppe_formula(body1, body2, env1, env2, depth)
-    v1, s1 = run1[0]
-    for i, (v2, s2) in enumerate(run2):
-        if not _alpha_sort(s1, s2, env1, env2):
-            continue
-        if not all(_commute(outer, run2[i]) for outer in run2[:i]):
-            continue
-        ns = _binder_namespace(s1)
-        e1 = {**env1, (ns, v1): depth}
-        e2 = {**env2, (ns, v2): depth}
-        if _match_runs(run1[1:], body1, run2[:i] + run2[i + 1 :], body2, e1, e2, depth + 1):
-            return True
-    return False
+    def _close(self, first: int, n: int) -> bool:
+        """Finish a chain whose body agrees: pair the binders that nothing
+        uses, outermost first, backtracking until chain 2 reaches chain 1's
+        order. `frames` holds a generator of candidates per binder paired."""
+        free = [b for b in range(first, first + n) if b not in self.pairs]
+        frames = []
+        while len(frames) < len(free) or not self._ordered(first, n):
+            if len(frames) < len(free):
+                frames.append(self._candidates(free[len(frames)], first, n))
+            while frames and not next(frames[-1], False):
+                frames.pop()
+            if not frames:
+                return False
+        return True
+
+    def _candidates(self, b1: int, first: int, n: int):
+        """Pair binder b1 with each binder of chain 2 it can pair with whose
+        sort agrees, yielding after each pairing. A binder whose name
+        `_commute` never reads, bound once in the chain and mentioned by none
+        of its sorts, can trade places with another such binder of the same
+        sort, so only one of them is tried."""
+        chain2 = self.binders2[first : first + n]
+        names = Counter(k for v, s, _ in chain2 for k in ((_binder_namespace(s), v), *_mentions(s)))
+        saved, tried = self.pairs.copy(), set()
+        for b2, (var, sort, _) in enumerate(chain2, first):
+            key = sort if names[_binder_namespace(sort), var] == 1 else b2
+            stack: list[tuple] = []
+            if key not in tried and self._pair(b1, b2, stack):
+                tried.add(key)
+                if self.equal(stack):
+                    yield True
+                self.pairs = saved.copy()
+
+    def _ordered(self, first: int, n: int) -> bool:
+        """Whether insertion sort brings chain 2, in chain 1's order, back to
+        its own order with every swap one that `_commute` allows."""
+        order = [self.pairs[b] for b in range(first, first + n)]
+        for i, b in enumerate(order):
+            while i and order[i - 1] > b:
+                if not _commute(self.binders2[b], self.binders2[order[i - 1]]):
+                    return False
+                order[i], i = order[i - 1], i - 1
+            order[i] = b
+        return True

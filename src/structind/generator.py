@@ -27,7 +27,6 @@ from .core import (
     Forall,
     Formula,
     Implies,
-    KindStar,
     OF_KIND_STAR,
     OfType,
     PredApp,
@@ -62,7 +61,7 @@ def induction_var(decl: DataDecl) -> str:
 
 def is_recursive_arg(decl: DataDecl, ty: TypeExpr) -> bool:
     """Recursion test: the argument's head type constructor is the declared type."""
-    return not isinstance(ty, KindStar) and ty_con(ty) == decl.type_name
+    return ty_con(ty) == decl.type_name
 
 
 def name_arguments(decl: DataDecl, ctor: ConstructorDecl) -> list[tuple[str, TypeExpr]]:

@@ -171,11 +171,11 @@ class _Parser(_Reader):
         if self.kind() == "upper":
             self.fail("type parameters must be lowercase names")
         self.expect("=", "'='")
-        scope = frozenset(params)
-        ctors = [self.ctor(name, scope)]
+        scope, taken = frozenset(params), set()
+        ctors = [self.ctor(name, scope, taken)]
         while self.kind() == "|":
             self.i += 1
-            ctors.append(self.ctor(name, scope))
+            ctors.append(self.ctor(name, scope, taken))
         if self.kind() == "deriving":
             self.fail("unsupported feature: deriving clause")
         # Titlecase letters, and letters without case, lex as lowercase
@@ -187,10 +187,13 @@ class _Parser(_Reader):
                 )
         return DataDecl(name, tuple(params), tuple(ctors))
 
-    def ctor(self, type_name: str, scope: frozenset[str]) -> ConstructorDecl:
+    def ctor(self, type_name: str, scope: frozenset[str], taken: set[str]) -> ConstructorDecl:
         if self.kind() == "lower":
             self.fail("constructor names must be uppercase")
         name = self.expect("upper", "constructor name")
+        if name in taken:
+            raise ParseError(self.pos(self.i - 1), f"duplicate constructor {name!r}")
+        taken.add(name)
         if self.kind() == "{":
             self.fail("unsupported feature: record syntax")
         args: list[TypeExpr] = []

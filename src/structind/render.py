@@ -25,7 +25,6 @@ from .core import (
     Forall,
     Formula,
     Implies,
-    KindStar,
     OF_KIND_STAR,
     OfKindStar,
     OfType,

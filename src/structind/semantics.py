@@ -48,7 +48,7 @@ from .core import (
     Truth,
     Var,
 )
-from .generator import GenOptions, conjuncts, induction_principle
+from .generator import conjuncts
 from .render import type_source
 
 DEFAULT_SEED = 271828
@@ -97,6 +97,8 @@ class GroundEnv:
             raise ValueError(f"no carrier for type parameter {param!r}") from None
         if not atoms:
             raise ValueError(f"empty carrier for type parameter {param!r}")
+        if len(set(atoms)) < len(atoms):
+            raise ValueError(f"repeated label in the carrier for type parameter {param!r}")
         return tuple(atoms)
 
 
@@ -285,11 +287,9 @@ def _materialize(
     keys: list[tuple], ctors: list[tuple[str, list[Optional[list[Atom]]]]]
 ) -> list[GroundTerm]:
     """The terms the keys stand for, in the same order."""
-    # The first constructor declared wins when two share a name, an
-    # argument position and a label; their keys are equal anyway.
     atom_at = {
         (name, i, a.label): a
-        for name, slots in reversed(ctors)
+        for name, slots in ctors
         for i, atoms in enumerate(slots)
         for a in atoms or ()
     }
@@ -460,14 +460,3 @@ def check_principle(
             witness = (tuple(t for i, t in enumerate(universe) if mask >> i & 1), universe[missed])
             return SoundnessReport(decl.type_name, n, checked, mode, witness)
     return SoundnessReport(decl.type_name, n, checked, mode, None)
-
-
-def check_soundness(
-    decl: DataDecl,
-    opts: GenOptions,
-    env: GroundEnv,
-    depth_bound: int,
-    mode: Mode,
-) -> SoundnessReport:
-    """Generate the principle for `decl` and check it."""
-    return check_principle(induction_principle(decl, opts), env, depth_bound, mode)

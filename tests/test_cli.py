@@ -154,6 +154,12 @@ class TestErrors:
         assert result.stdout == ""
         assert "<stdin>:1:6: error:" in result.stderr
 
+    def test_repeated_constructor_is_a_parse_error(self):
+        result = run_cli(["--check"], stdin="data T = A | A")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "<stdin>:1:14: error: duplicate constructor 'A'\n"
+
     def test_parse_error_names_file(self, tmp_path):
         path = tmp_path / "bad.hs"
         path.write_text("data Nat = Z |\n", encoding="utf-8")

@@ -14,7 +14,6 @@ from structind.core import (
     Forall,
     Formula,
     Implies,
-    KIND_STAR,
     OF_KIND_STAR,
     OfType,
     PredApp,
@@ -70,10 +69,6 @@ class TestTyCon:
         assert ty_con(Arrow(Var("a"), Var("b"))) is None
         assert ty_con(TupleType((Var("a"), Var("b")))) is None
 
-    def test_kind_star_rejected(self):
-        with pytest.raises(ValueError):
-            ty_con(KIND_STAR)
-
 
 class TestDeclValidation:
     def test_tuple_needs_two(self):
@@ -83,6 +78,10 @@ class TestDeclValidation:
     def test_duplicate_params(self):
         with pytest.raises(ValueError, match="duplicate"):
             DataDecl("T", ("a", "a"), (ConstructorDecl("C"),))
+
+    def test_duplicate_constructors(self):
+        with pytest.raises(ValueError, match="duplicate constructor 'C'"):
+            DataDecl("T", (), (ConstructorDecl("C"), ConstructorDecl("D"), ConstructorDecl("C")))
 
     def test_no_constructors(self):
         with pytest.raises(ValueError, match="no constructors"):

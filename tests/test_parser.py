@@ -110,6 +110,16 @@ class TestErrors:
             parse_decl("data T a a = C a")
         assert (err.value.pos.line, err.value.pos.column) == (1, 10)
 
+    def test_repeated_constructor(self):
+        with pytest.raises(ParseError) as err:
+            parse_decl("data T a = A a | B\n  | A")
+        assert err.value.message == "duplicate constructor 'A'"
+        assert (err.value.pos.line, err.value.pos.column) == (2, 5)
+
+    def test_constructor_names_repeat_across_declarations(self):
+        decls = parse_program(corpus.BTREE + "\n" + corpus.STREE + "\n" + corpus.SWAPTREE)
+        assert all("Leaf" in [c.name for c in d.constructors] for d in decls)
+
     def test_position_on_later_line(self):
         with pytest.raises(ParseError) as err:
             parse_decl("data T =\n  C |")

@@ -28,7 +28,6 @@ from structind.semantics import (
     Sampled,
     UnsupportedTypeError,
     check_principle,
-    check_soundness,
     enumerate_terms,
     format_ground_term,
     immediate_subterms,
@@ -215,14 +214,15 @@ class TestCountedUniverse:
         monkeypatch.setattr(semantics, "_intern", no_enumeration)
         btree = parse_decl(corpus.BTREE)
         with pytest.raises(ValueError, match="universe of more than 20 terms is too large"):
-            check_soundness(btree, GenOptions(), GroundEnv({"a": ("u", "v")}), 6, Exhaustive())
+            principle = induction_principle(btree, GenOptions())
+            check_principle(principle, GroundEnv({"a": ("u", "v")}), 6, Exhaustive())
 
     def test_exhaustive_refusal_stops_counting_at_the_limit(self):
         # The exact count at depth 40 has billions of digits.
         btree = parse_decl(corpus.BTREE)
         env = GroundEnv({"a": ("u", "v")})
         with pytest.raises(ValueError, match="universe of more than 20 terms is too large"):
-            check_soundness(btree, GenOptions(), env, 40, Exhaustive())
+            check_principle(induction_principle(btree, GenOptions()), env, 40, Exhaustive())
 
 
 class TestNode:
@@ -273,16 +273,16 @@ class TestImmediateSubterms:
 
 class TestSoundness:
     def test_bool_exhaustive(self):
-        report = check_soundness(
-            parse_decl(corpus.BOOL), GenOptions(), NO_PARAMS, 3, Exhaustive()
+        report = check_principle(
+            induction_principle(parse_decl(corpus.BOOL), GenOptions()), NO_PARAMS, 3, Exhaustive()
         )
         assert report.passed
         assert report.universe_size == 2
         assert report.predicates_checked == 4
 
     def test_nat_exhaustive(self):
-        report = check_soundness(
-            parse_decl(corpus.NAT), GenOptions(), NO_PARAMS, 3, Exhaustive()
+        report = check_principle(
+            induction_principle(parse_decl(corpus.NAT), GenOptions()), NO_PARAMS, 3, Exhaustive()
         )
         assert report.passed
         assert report.predicates_checked == 8
@@ -311,14 +311,19 @@ class TestSoundness:
         env = GroundEnv({"a": ("u", "v")})
         assert len(enumerate_terms(list_, env, 5)) > EXHAUSTIVE_LIMIT
         with pytest.raises(ValueError, match="too large"):
-            check_soundness(list_, GenOptions(), env, 5, Exhaustive())
+            check_principle(induction_principle(list_, GenOptions()), env, 5, Exhaustive())
+
+    def test_a_label_repeated_in_one_carrier_is_refused(self):
+        principle = induction_principle(parse_decl(corpus.LIST), GenOptions())
+        with pytest.raises(ValueError, match="repeated label"):
+            check_principle(principle, GroundEnv({"a": ("u", "u")}), 2, Exhaustive())
 
     def test_sampled_determinism(self):
         list_ = parse_decl(corpus.LIST)
         env = GroundEnv({"a": ("u", "v")})
         mode = Sampled(50, seed=7)
-        first = check_soundness(list_, GenOptions(), env, 4, mode)
-        second = check_soundness(list_, GenOptions(), env, 4, mode)
+        first = check_principle(induction_principle(list_, GenOptions()), env, 4, mode)
+        second = check_principle(induction_principle(list_, GenOptions()), env, 4, mode)
         assert first == second
         assert first.passed
 
@@ -341,13 +346,17 @@ class TestSoundness:
         assert universe_size(btree, env, 4) == 1446
         monkeypatch.setattr(Node, "__post_init__", fail)
         monkeypatch.setattr(Atom, "__hash__", fail)
-        report = check_soundness(btree, GenOptions(), env, 4, Sampled(40, seed=1))
+        principle = induction_principle(btree, GenOptions())
+        report = check_principle(principle, env, 4, Sampled(40, seed=1))
         assert report.passed and report.universe_size == 1446
 
     def test_unsupported_type_raises(self):
         with pytest.raises(UnsupportedTypeError):
-            check_soundness(
-                parse_decl(corpus.LAMBDA), GenOptions(), GroundEnv({"c": ("k",)}), 2, Exhaustive()
+            check_principle(
+                induction_principle(parse_decl(corpus.LAMBDA), GenOptions()),
+                GroundEnv({"c": ("k",)}),
+                2,
+                Exhaustive(),
             )
 
     @given(
@@ -364,7 +373,7 @@ class TestSoundness:
             depth -= 1
             universe = enumerate_terms(decl, env, depth, opts.pointed)
         mode = Exhaustive() if len(universe) <= EXHAUSTIVE_LIMIT else Sampled(40, seed=3)
-        report = check_soundness(decl, opts, env, depth, mode)
+        report = check_principle(induction_principle(decl, opts), env, depth, mode)
         assert report.passed
 
 
