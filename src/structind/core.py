@@ -259,8 +259,10 @@ def subformulas(f: Formula):
     while stack:
         f = stack.pop()
         yield f
-        if isinstance(f, (And, Implies)):
-            stack += reversed(vars(f).values())
+        if isinstance(f, And):
+            stack += f.right, f.left
+        elif isinstance(f, Implies):
+            stack += f.consequent, f.antecedent
         elif isinstance(f, Forall):
             stack.append(f.body)
 
@@ -295,8 +297,10 @@ def free_vars(f: Formula) -> set[str]:
             if ("pred", x.pred) not in bound:
                 free.add(x.pred)
             stack.append((x.arg, bound))
-        elif isinstance(x, (And, Implies)):
-            stack += ((y, bound) for y in vars(x).values())
+        elif isinstance(x, And):
+            stack += (x.left, bound), (x.right, bound)
+        elif isinstance(x, Implies):
+            stack += (x.antecedent, bound), (x.consequent, bound)
         elif isinstance(x, TApp):
             stack += ((y, bound) for y in x.args)
         elif isinstance(x, Forall):
@@ -308,22 +312,17 @@ def free_vars(f: Formula) -> set[str]:
 
 
 # --- equivalence ---------------------------------------------------------------------
-# Both equivalences are one walk over a pair of formulas. Binders get numbers
-# in the order the walk opens them, the same on both sides, and environments
-# map (namespace, name) to the number of the binder in scope. A run is a
-# group of binders that may be reordered: each binder on its own for
-# alpha_eq, each maximal chain of Foralls for prefix_perm_eq.
 
 
 def alpha_eq(f1: Formula, f2: Formula) -> bool:
     """Structural equality up to consistent renaming of bound variables."""
-    return _Walk(False).equal([(f1, f2, {}, {})])
+    return _Match(False).equal(f1, f2)
 
 
 def prefix_perm_eq(f1: Formula, f2: Formula) -> bool:
     """alpha_eq modulo reordering within each chain of Forall binders, one
     swap of adjacent commuting binders at a time (see `_commute`)."""
-    return _Walk(True).equal([(f1, f2, {}, {})])
+    return _Match(True).equal(f1, f2)
 
 
 def _commute(outer: tuple, inner: tuple) -> bool:
@@ -331,22 +330,22 @@ def _commute(outer: tuple, inner: tuple) -> bool:
     changing meaning: they do not bind the same name in one namespace, and
     neither binds a type variable that the other's sort mentions."""
     (v1, s1), (v2, s2) = outer[:2], inner[:2]
-    k1, k2 = (_binder_namespace(s1), v1), (_binder_namespace(s2), v2)
-    return k1 != k2 and k1 not in _mentions(s2) and k2 not in _mentions(s1)
-
-
-def _mentions(sort: Sort) -> set[tuple[str, str]]:
-    return {("type", a) for a in _sort_type_vars(sort)}
+    ns1, ns2 = _binder_namespace(s1), _binder_namespace(s2)
+    return (
+        (ns1, v1) != (ns2, v2)
+        and not (ns1 == "type" and v1 in _sort_type_vars(s2))
+        and not (ns2 == "type" and v2 in _sort_type_vars(s1))
+    )
 
 
 def _open(f: Forall, env: dict, binders: list[tuple]) -> tuple[dict, Formula]:
-    """Number the leading chain of binders of `f` on from `binders`, each
-    with the environment its sort is read in, and return the environment
-    inside the chain and its body. Sorts mention only type variables, so
-    they share one environment until a type binder binds in a copy."""
+    """Number the chain of binders from `f` on in `binders`, each with the
+    environment its sort is read in, and return the chain's environment and
+    body. Sorts read only type binders, so they share one environment until
+    a type binder binds in a copy."""
     env = dict(env)
     while f.__class__ is Forall:
-        ns = _NAMESPACES.get(f.sort.__class__, "term")
+        ns = _binder_namespace(f.sort)
         if ns == "type":
             env = dict(env)
         binders.append((f.var, f.sort, env))
@@ -355,119 +354,125 @@ def _open(f: Forall, env: dict, binders: list[tuple]) -> tuple[dict, Formula]:
     return env, f
 
 
-class _Walk:
-    """One comparison, with the binders it has numbered and paired."""
+class _Match:
+    """One walk over two formulas, and a pairing of the binders of formula 1
+    with binders of the same run in formula 2. A run is a group of binders
+    that may be reordered: each binder alone for alpha_eq, each maximal
+    chain of Foralls for prefix_perm_eq. Binders are numbered in the order
+    the walk opens them, alike on both sides, and environments map
+    (namespace, name) to the number in scope. The formulas are equivalent
+    when a pairing exists under which each occurrence of a binder stands
+    against one of its pair, paired sorts agree, and swaps that `_commute`
+    allows bring each run of formula 2 to formula 1's order."""
 
     def __init__(self, runs: bool):
         self.runs = runs
         self.binders1: list[tuple] = []  # by number: name, sort, the sort's environment
         self.binders2: list[tuple] = []
-        self.run: list[int] = []  # by number, the first number of the binder's run
-        self.pairs: dict[int, int] = {}  # b1 -> b2 and ~b2 -> b1 for each pair
+        self.run: list[range] = []  # by number, the numbers of the binder's run
+        self.pairs: dict[int, int] = {}  # binder of formula 1 -> binder of formula 2
+        self.taken: set[int] = set()  # the binders of formula 2 in a pair
 
-    def equal(self, stack: list[tuple]) -> bool:
-        """Whether each pair of formulas, sorts, types or terms on the stack
-        agrees, each side in its environment. Below a chain's body the stack
-        holds the chain to close."""
+    def equal(self, f1: Formula, f2: Formula) -> bool:
+        """Pair the binders that occur, which leaves no choice, then the
+        rest in the order they are numbered, backtracking over `tries`, a
+        generator of pairings per binder paired."""
+        if not self._agree([(f1, f2, {}, {})]):
+            return False
+        if self.runs and not all(self._ordered(run) for run in set(self.run)):
+            return False
+        free = [b for b in range(len(self.binders1)) if b not in self.pairs]
+        tries = []
+        while len(tries) < len(free):
+            tries.append(self._candidates(free[len(tries)]))
+            while tries and not next(tries[-1], False):
+                tries.pop()
+            if not tries:
+                return False
+        return True
+
+    def _agree(self, stack: list[tuple]) -> bool:
+        """Whether each pair of formulas, types or terms on the stack agrees,
+        each side in its environment."""
+        pairs = self.pairs
         while stack:
             x1, x2, env1, env2 = stack.pop()
             cls = x1.__class__
             if cls is not x2.__class__:
                 return False
-            if cls is TVar or cls is Var or cls is PredApp:
-                ns = "term" if cls is TVar else "type" if cls is Var else "pred"
-                n1, n2 = (x1.pred, x2.pred) if cls is PredApp else (x1.name, x2.name)
-                b1, b2 = env1.get((ns, n1)), env2.get((ns, n2))
-                if b1 is None or b2 is None:
-                    if b1 is not b2 or n1 != n2:
+            if cls is TVar:
+                ns, n1, n2 = "term", x1.name, x2.name
+            elif cls is Var:
+                ns, n1, n2 = "type", x1.name, x2.name
+            elif cls is PredApp:
+                ns, n1, n2 = "pred", x1.pred, x2.pred
+                stack.append((x1.arg, x2.arg, env1, env2))
+            else:
+                if cls is App:
+                    if x1.head != x2.head or len(x1.args) != len(x2.args):
                         return False
-                elif not self._pair(b1, b2, stack):
-                    return False
-                if cls is PredApp:
-                    stack.append((x1.arg, x2.arg, env1, env2))
-            elif cls is App:
-                if x1.head != x2.head or len(x1.args) != len(x2.args):
-                    return False
-                stack += zip(x1.args, x2.args, repeat(env1), repeat(env2))
-            elif cls is OfType or cls is PredOver:
-                stack.append((x1.ty, x2.ty, env1, env2))
-            elif cls is And:
-                stack += (x1.right, x2.right, env1, env2), (x1.left, x2.left, env1, env2)
-            elif cls is Forall:
-                first = len(self.run)
-                env1, body1 = _open(x1, env1, self.binders1)
-                env2, body2 = _open(x2, env2, self.binders2)
-                n = len(self.binders1) - first
-                if len(self.binders2) - first != n:
-                    return False
-                self.run += [first] * n if self.runs else range(first, first + n)
-                chain = (first, n)
-                stack += (chain, chain, env1, env2), (body1, body2, env1, env2)
-            elif cls is tuple:
-                if not self._close(*x1):
-                    return False
-            else:  # constructor and type constructor names are constants
-                for a, b in zip(vars(x1).values(), vars(x2).values()):
-                    if a.__class__ is str:
-                        if a != b:
-                            return False
-                    elif a.__class__ is tuple:
-                        if len(a) != len(b):
-                            return False
-                        stack += zip(a, b, repeat(env1), repeat(env2))
+                    if x1.args:
+                        stack += zip(x1.args, x2.args, repeat(env1), repeat(env2))
+                elif cls is TApp:
+                    if x1.ctor != x2.ctor or len(x1.args) != len(x2.args):
+                        return False
+                    if x1.args:
+                        stack += zip(x1.args, x2.args, repeat(env1), repeat(env2))
+                elif cls is And:
+                    stack += (x1.right, x2.right, env1, env2), (x1.left, x2.left, env1, env2)
+                elif cls is Implies:
+                    stack.append((x1.consequent, x2.consequent, env1, env2))
+                    stack.append((x1.antecedent, x2.antecedent, env1, env2))
+                elif cls is TupleType:
+                    if len(x1.elems) != len(x2.elems):
+                        return False
+                    stack += zip(x1.elems, x2.elems, repeat(env1), repeat(env2))
+                elif cls is Arrow:
+                    stack.append((x1.codomain, x2.codomain, env1, env2))
+                    stack.append((x1.domain, x2.domain, env1, env2))
+                elif cls is Forall:
+                    first = len(self.binders1)
+                    env1, body1 = _open(x1, env1, self.binders1)
+                    env2, body2 = _open(x2, env2, self.binders2)
+                    end = len(self.binders1)
+                    if len(self.binders2) != end:
+                        return False
+                    if self.runs:
+                        self.run += [range(first, end)] * (end - first)
                     else:
-                        stack.append((a, b, env1, env2))
-        return True
-
-    def _pair(self, b1: int, b2: int, stack: list[tuple]) -> bool:
-        """Whether binders b1 and b2 are, or can become, a pair of one run.
-        Pairing them puts their sorts on the stack to compare."""
-        if b1 in self.pairs:
-            return self.pairs[b1] == b2
-        if ~b2 in self.pairs or self.run[b1] != self.run[b2]:
-            return False
-        self.pairs[b1], self.pairs[~b2] = b2, b1
-        (_, sort1, scope1), (_, sort2, scope2) = self.binders1[b1], self.binders2[b2]
-        stack.append((sort1, sort2, scope1, scope2))
-        return True
-
-    def _close(self, first: int, n: int) -> bool:
-        """Finish a chain whose body agrees: pair the binders that nothing
-        uses, outermost first, backtracking until chain 2 reaches chain 1's
-        order. `frames` holds a generator of candidates per binder paired."""
-        free = [b for b in range(first, first + n) if b not in self.pairs]
-        frames = []
-        while len(frames) < len(free) or not self._ordered(first, n):
-            if len(frames) < len(free):
-                frames.append(self._candidates(free[len(frames)], first, n))
-            while frames and not next(frames[-1], False):
-                frames.pop()
-            if not frames:
+                        self.run += map(range, range(first, end), range(first + 1, end + 1))
+                    stack.append((body1, body2, env1, env2))
+                elif cls is not Truth and cls is not Bottom:
+                    return False
+                continue
+            # An occurrence of a name: bound on both sides to a pair, or free on both.
+            b1, b2 = env1.get((ns, n1)), env2.get((ns, n2))
+            if b1 is None or b2 is None:
+                if b1 is not b2 or n1 != n2:
+                    return False
+            elif pairs.get(b1) != b2 and not self._pair(b1, b2, stack):
                 return False
         return True
 
-    def _candidates(self, b1: int, first: int, n: int):
-        """Pair binder b1 with each binder of chain 2 it can pair with whose
-        sort agrees, yielding after each pairing. A binder whose name
-        `_commute` never reads, bound once in the chain and mentioned by none
-        of its sorts, can trade places with another such binder of the same
-        sort, so only one of them is tried."""
-        chain2 = self.binders2[first : first + n]
-        names = Counter(k for v, s, _ in chain2 for k in ((_binder_namespace(s), v), *_mentions(s)))
-        saved, tried = self.pairs.copy(), set()
-        for b2, (var, sort, _) in enumerate(chain2, first):
-            key = sort if names[_binder_namespace(sort), var] == 1 else b2
-            stack: list[tuple] = []
-            if key not in tried and self._pair(b1, b2, stack):
-                tried.add(key)
-                if self.equal(stack):
-                    yield True
-                self.pairs = saved.copy()
+    def _pair(self, b1: int, b2: int, stack: list[tuple]) -> bool:
+        """Whether binders b1 and b2 are, or can become, a pair. Pairing them
+        puts the types of their sorts on the stack to compare."""
+        if b1 in self.pairs:
+            return self.pairs[b1] == b2
+        (_, sort1, env1), (_, sort2, env2) = self.binders1[b1], self.binders2[b2]
+        if b2 in self.taken or b2 not in self.run[b1] or sort1.__class__ is not sort2.__class__:
+            return False
+        self.pairs[b1] = b2
+        self.taken.add(b2)
+        if sort1.__class__ is not OfKindStar:
+            stack.append((sort1.ty, sort2.ty, env1, env2))
+        return True
 
-    def _ordered(self, first: int, n: int) -> bool:
-        """Whether insertion sort brings chain 2, in chain 1's order, back to
-        its own order with every swap one that `_commute` allows."""
-        order = [self.pairs[b] for b in range(first, first + n)]
+    def _ordered(self, run: range) -> bool:
+        """Whether insertion sort brings the run's pairs so far from formula
+        1's order to formula 2's by swaps that `_commute` allows. It swaps
+        each two binders out of order once."""
+        order = [self.pairs[b] for b in run if b in self.pairs]
         for i, b in enumerate(order):
             while i and order[i - 1] > b:
                 if not _commute(self.binders2[b], self.binders2[order[i - 1]]):
@@ -475,3 +480,16 @@ class _Walk:
                 order[i], i = order[i - 1], i - 1
             order[i] = b
         return True
+
+    def _candidates(self, b1: int):
+        """Pair b1 in turn with each binder of its run in formula 2 that it
+        can pair with and that keeps the run in order, yielding after each.
+        The sort of b1 reads only binders numbered before it, paired by now,
+        so pairing b1 pairs nothing else."""
+        for b2 in self.run[b1]:
+            stack: list[tuple] = []
+            if b2 in self.taken or not self._pair(b1, b2, stack):
+                continue
+            if self._agree(stack) and self._ordered(self.run[b1]):
+                yield True
+            self.taken.remove(self.pairs.pop(b1))

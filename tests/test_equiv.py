@@ -4,7 +4,6 @@ take: long chains of connectives and long or wide chains of binders."""
 
 import random
 import re
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 import reference_equiv
 import strategies
+from structind import core
 from structind.core import (
     And,
     App,
@@ -69,6 +69,7 @@ _NAMES = ("x", "y", "a", "b", "P")
 _SORTS = (
     OF_KIND_STAR,
     OfType(Var("a")),
+    OfType(Var("b")),
     OfType(App("N")),
     OfType(App("L", (Var("b"),))),
     PredOver(Var("a")),
@@ -78,7 +79,9 @@ _SORTS = (
 
 def adversarial_formula(rng: random.Random, nested: bool = True) -> Formula:
     """A chain of 1-6 binders over a body that uses some of the names, and
-    sometimes holds a chain of its own."""
+    sometimes holds a chain of its own. Some outer chains bind the type
+    variables a and b first, and hold a chain whose sorts mention them
+    where the body does not."""
     chain = [(rng.choice(_NAMES), rng.choice(_SORTS)) for _ in range(rng.randint(1, 6))]
     atoms = [
         PredApp(rng.choice(("P", "Q")), TVar(rng.choice(_NAMES))) for _ in range(rng.randint(0, 3))
@@ -86,7 +89,12 @@ def adversarial_formula(rng: random.Random, nested: bool = True) -> Formula:
     body = Truth()
     for atom in atoms:
         body = And(atom, body)
-    if nested and rng.random() < 0.3:
+    roll = rng.random() if nested else 1
+    if roll < 0.3:
+        chain = [("a", OF_KIND_STAR), ("b", OF_KIND_STAR)] + chain[:3]
+        inner = [(rng.choice(_NAMES), rng.choice(_SORTS[1:3])) for _ in range(rng.randint(1, 4))]
+        body = Implies(close_over(inner, Truth()), body)
+    elif roll < 0.6:
         body = Implies(adversarial_formula(rng, nested=False), body)
     return close_over(chain, body)
 
@@ -116,6 +124,16 @@ class TestAgainstReference:
         g = shuffle_chains(f, rng)
         for left, right in [(f, f), (f, g), (g, f), (f, other), (other, f)]:
             assert_agrees(left, right)
+
+    def test_used_binders_that_bind_one_name_twice_keep_their_order(self):
+        # x and y each read their own a; swapping the two a's rebinds both.
+        a = OfType(Var("a"))
+        body = And(PredApp("P", TVar("x")), PredApp("P", TVar("y")))
+        f = close_over([("a", OF_KIND_STAR), ("x", a), ("a", OF_KIND_STAR), ("y", a)], body)
+        g = close_over([("a", OF_KIND_STAR), ("y", a), ("a", OF_KIND_STAR), ("x", a)], body)
+        assert not reference_equiv.prefix_perm_eq(f, g)
+        assert_agrees(f, g)
+        assert_agrees(g, f)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_adversarial_runs(self, seed):
@@ -155,26 +173,63 @@ class TestNoRecursion:
         readback = parse_sexpr(render_sexpr(principle))
         assert alpha_eq(principle, readback) and prefix_perm_eq(principle, readback)
 
-    @pytest.mark.parametrize("used", [True, False])
-    def test_mismatch_over_same_sort_binders_is_quick(self, used):
-        # The reference tries every order of the 12 binders of sort N: in
-        # the first case the bodies differ, in the second the last sorts do.
+    def test_mismatch_over_same_sort_binders_pairs_by_use(self, monkeypatch):
+        # The reference tries every order of the 12 binders of sort N before
+        # it finds that the bodies differ; pairing by use fails at once.
         nat = OfType(App("N"))
-        f_chain = [(f"x{i}", nat) for i in range(12)]
-        g_chain = [(f"y{i}", nat) for i in reversed(range(12))]
-        if used:
-            f_body, g_body = PredApp("Q", TVar("z")), PredApp("R", TVar("z"))
-            for i in range(12):
-                f_body = And(PredApp("P", TVar(f"x{i}")), f_body)
-                g_body = And(PredApp("P", TVar(f"y{i}")), g_body)
-        else:
-            f_chain.append(("u", OfType(App("M"))))
-            g_chain.append(("u", OfType(App("K"))))
-            f_body = g_body = Truth()
-        f, g = close_over(f_chain, f_body), close_over(g_chain, g_body)
-        start = time.perf_counter()
-        assert not prefix_perm_eq(f, g)
-        assert time.perf_counter() - start < 0.1
+        f_body, g_body = PredApp("Q", TVar("z")), PredApp("R", TVar("z"))
+        for i in range(12):
+            f_body = And(PredApp("P", TVar(f"x{i}")), f_body)
+            g_body = And(PredApp("P", TVar(f"y{i}")), g_body)
+        f = close_over([(f"x{i}", nat) for i in range(12)], f_body)
+        g = close_over([(f"y{i}", nat) for i in reversed(range(12))], g_body)
+        assert pairings(monkeypatch, lambda: not prefix_perm_eq(f, g)) <= 12
+
+    def test_unused_same_sort_binders_pair_in_order(self, monkeypatch):
+        nat = OfType(App("N"))
+        f = close_over([(f"x{i}", nat) for i in range(12)], Truth())
+        g = close_over([(f"y{i}", nat) for i in reversed(range(12))], Truth())
+        assert pairings(monkeypatch, lambda: prefix_perm_eq(f, g)) <= 12 * 12
+
+
+def pairings(monkeypatch, check) -> int:
+    """How many pairings of two binders `check` tries; it must hold."""
+    calls = []
+    pair = core._Match._pair
+    monkeypatch.setattr(core._Match, "_pair", lambda self, *bs: calls.append(bs) or pair(self, *bs))
+    assert check()
+    return len(calls)
+
+
+class TestNestedRuns:
+    """Runs inside runs whose sorts mention type binders of the outer run
+    that nothing else uses, so that how the inner run pairs decides how the
+    outer one may pair."""
+
+    star, a, b = OF_KIND_STAR, OfType(Var("a")), OfType(Var("b"))
+
+    def nested(self, outer, inner) -> Formula:
+        return close_over(outer, Implies(close_over(inner, Truth()), Truth()))
+
+    @pytest.mark.parametrize(
+        "outer2, inner2, equivalent",
+        [
+            # a and b commute, and so do x and y.
+            ([("b", star), ("a", star), ("u", a)], [("y", b), ("x", a)], True),
+            # u now fixes a to b, and the inner run still fits.
+            ([("b", star), ("a", star), ("u", b)], [("y", b), ("x", a)], True),
+            # The inner sorts cannot both be b.
+            ([("a", star), ("b", star), ("u", a)], [("x", b), ("y", b)], False),
+            # u of sort a cannot move out past a.
+            ([("u", a), ("a", star), ("b", star)], [("x", a), ("y", b)], False),
+        ],
+    )
+    def test_against_reference(self, outer2, inner2, equivalent):
+        star, a, b = self.star, self.a, self.b
+        f = self.nested([("a", star), ("b", star), ("u", a)], [("x", a), ("y", b)])
+        g = self.nested(outer2, inner2)
+        assert reference_equiv.prefix_perm_eq(f, g) == equivalent
+        assert prefix_perm_eq(f, g) == equivalent and prefix_perm_eq(g, f) == equivalent
 
 
 class TestSubformulas:
