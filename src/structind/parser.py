@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import App, Arrow, ConstructorDecl, DataDecl, TupleType, TypeExpr, Var, type_vars
+from .core import App, Arrow, ConstructorDecl, DataDecl, TupleType, TypeExpr, Var
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,8 @@ class _Parser(_Reader):
 
     def __init__(self, text: str):
         super().__init__(text)
-        self.kinds = [_kind(w) for w in self.words]
+        kinds = {w: _kind(w) for w in set(self.words)}
+        self.kinds = list(map(kinds.__getitem__, self.words))
         if "bad" in self.kinds:
             bad = self.kinds.index("bad")
             raise ParseError(self.pos(bad), f"unexpected character {self.words[bad][0]!r}")
@@ -171,11 +172,12 @@ class _Parser(_Reader):
         if self.kind() == "upper":
             self.fail("type parameters must be lowercase names")
         self.expect("=", "'='")
-        scope, taken = frozenset(params), set()
-        ctors = [self.ctor(name, scope, taken)]
+        # `var` notes each type variable read outside `scope` in `loose`.
+        self.scope, self.loose, taken = frozenset(params), set(), set()
+        ctors = [self.ctor(name, taken)]
         while self.kind() == "|":
             self.i += 1
-            ctors.append(self.ctor(name, scope, taken))
+            ctors.append(self.ctor(name, taken))
         if self.kind() == "deriving":
             self.fail("unsupported feature: deriving clause")
         # Titlecase letters, and letters without case, lex as lowercase
@@ -187,7 +189,7 @@ class _Parser(_Reader):
                 )
         return DataDecl(name, tuple(params), tuple(ctors))
 
-    def ctor(self, type_name: str, scope: frozenset[str], taken: set[str]) -> ConstructorDecl:
+    def ctor(self, type_name: str, taken: set[str]) -> ConstructorDecl:
         if self.kind() == "lower":
             self.fail("constructor names must be uppercase")
         name = self.expect("upper", "constructor name")
@@ -205,11 +207,10 @@ class _Parser(_Reader):
                 break
             start = self.i
             ty = self.atype()
-            loose = type_vars(ty) - scope
-            if loose:
+            if self.loose:
                 raise ParseError(
                     self.pos(start),
-                    f"type variable {min(loose)!r} is not a parameter of {type_name!r}",
+                    f"type variable {min(self.loose)!r} is not a parameter of {type_name!r}",
                 )
             args.append(ty)
         if self.kind() == "op":
@@ -223,12 +224,18 @@ class _Parser(_Reader):
     def atype(self) -> TypeExpr:
         kind = self.kind()
         if kind == "lower":
-            return Var(self.advance())
+            return self.var()
         if kind == "upper":
             return App(self.advance(), ())
         if kind == "(":
             return self.paren_type()
         self.fail("expected a type")
+
+    def var(self) -> Var:
+        name = self.advance()
+        if name not in self.scope:
+            self.loose.add(name)
+        return Var(name)
 
     def paren_type(self) -> TypeExpr:
         self.expect("(", "'('")
@@ -263,10 +270,10 @@ class _Parser(_Reader):
                 args.append(self.atype())
             return App(head, tuple(args))
         if kind == "lower":
-            name = self.advance()
+            var = self.var()
             if self.kind() in _ATYPE_FIRST:
-                self.fail(f"cannot apply arguments to type variable {name!r}")
-            return Var(name)
+                self.fail(f"cannot apply arguments to type variable {var.name!r}")
+            return var
         if kind == "(":
             ty = self.paren_type()
             if self.kind() in _ATYPE_FIRST:

@@ -227,7 +227,9 @@ def enumerate_terms(
     first in pointed mode), then children lexicographically by universe
     position. Depth counts constructor nesting only: atoms and the bottom
     term have depth 1, and a node is one deeper than its deepest child of
-    the declared type.
+    the declared type. Each layer is built in `itertools.product` blocks
+    (see `_intern`), so a type whose constructors have at most one
+    recursive argument costs time linear in the depth besides its terms.
     """
     ctors = _argument_slots(decl, env, depth_bound)
     return _materialize(_intern(ctors, depth_bound, pointed), ctors)
@@ -240,8 +242,15 @@ def _intern(
     the bottom term, and a node is `(ctor, *args)` with each recursive
     argument the child's universe position and each parameter argument
     the atom's label. Keys hold only str and int, so hashing one runs no
-    Python code. Layer d is built only from children of depth below d with
-    at least one child in layer d - 1."""
+    Python code.
+
+    Layer d >= 2 is built in blocks. A prefix fixes the arguments before
+    the first recursive one whose child is in layer d - 1 (`new`): labels,
+    and children of depth below d - 1 (`old`) in recursive arguments
+    before the last; its block, `product(new, *rest)` with each later
+    argument drawn from `below` (= old + new) or its carrier, is built in
+    C. Only prefixes that yield a block are visited, so a constructor
+    with one recursive argument costs O(1) per layer besides its terms."""
     shapes = [
         (name, [None if atoms is None else [a.label for a in atoms] for atoms in slots])
         for name, slots in ctors
@@ -249,38 +258,31 @@ def _intern(
     keys: list[tuple] = [()] if pointed else []
     for name, slots in shapes:
         if None not in slots:
-            keys.extend((name, *combo) for combo in product(*slots))
+            keys.extend(product((name,), *slots))
     start = 0  # keys[start:] is the newest layer
     for _ in range(2, depth_bound + 1):
         end = len(keys)
         if start == end:
             break
-        old, new, below = range(start), range(start, end), range(end)
+        # A tuple `new` is shared by every block; product() would copy a range.
+        old, new, below = range(start), tuple(range(start, end)), range(end)
         for name, slots in shapes:
-            if None in slots:
-                keys.extend((name, *combo) for combo in _layer_children(slots, old, new, below))
+            if None not in slots:
+                continue
+            stack = [((name,), 0)]  # (prefix, argument index); ~index marks a block
+            while stack:
+                prefix, i = stack.pop()
+                if i < 0:
+                    rest = [below if s is None else s for s in slots[~i + 1 :]]
+                    keys.extend(map(prefix.__add__, product(new, *rest)))
+                elif slots[i] is not None:
+                    stack.extend((prefix + (a,), i + 1) for a in reversed(slots[i]))
+                else:
+                    stack.append((prefix, ~i))
+                    if None in slots[i + 1 :]:  # not the last recursive argument
+                        stack.extend((prefix + (c,), i + 1) for c in reversed(old))
         start = end
     return keys
-
-
-def _layer_children(
-    slots: list[Optional[list[str]]], old: range, new: range, below: range
-) -> list[tuple]:
-    """Argument tuples, in lexicographic order, whose recursive arguments
-    are positions from `below` (= old + new) with at least one from `new`.
-    Built from the last argument back: `free` holds every suffix, `need`
-    the suffixes with a child from `new`."""
-    free: list[tuple] = [()]
-    need: list[tuple] = []
-    for i in range(len(slots) - 1, -1, -1):
-        labels = slots[i]
-        if labels is None:
-            need = [(c, *t) for c in old for t in need] + [(c, *t) for c in new for t in free]
-        else:
-            need = [(a, *t) for a in labels for t in need]
-        if i:
-            free = [(c, *t) for c in (below if labels is None else labels) for t in free]
-    return need
 
 
 def _materialize(

@@ -8,7 +8,7 @@ import pytest
 
 import corpus
 from structind import cli, semantics
-from structind.parser import MAX_TYPE_NESTING
+from structind.parser import MAX_TYPE_NESTING, parse_decl
 from structind.render import parse_sexpr, render_sexpr
 from structind.semantics import Exhaustive, Node, SoundnessReport
 
@@ -120,6 +120,48 @@ class TestCheck:
         reason = f"universe of more than {cli._MAX_UNIVERSE} terms at depth 6"
         assert captured.err == f"warning: skipping soundness check for BTree: {reason}\n"
         assert captured.out.endswith(f"-- BTree: skipped ({reason})\n")
+
+    def test_a_deep_unary_type_is_built_in_linear_work(self, monkeypatch, capsys):
+        # Each layer of `N` holds one term. Building the universe is bounded
+        # by the number of lines of `semantics` that run while `_intern`
+        # builds it, at most 100 a layer, rather than by wall-clock time,
+        # which a loaded host can break; a build that walks every older term
+        # in each layer passes that count within a few thousand layers and
+        # stops there.
+        depth = 100_000
+        lines = 0
+        sizes = []
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+                if lines > 100 * depth:
+                    raise AssertionError(f"more than {100 * depth} lines to build the universe")
+            return count_lines
+
+        def trace_semantics(frame, event, arg):
+            return count_lines if frame.f_code.co_filename == semantics.__file__ else None
+
+        intern = semantics._intern
+
+        def counted_intern(*args):
+            tracer = sys.gettrace()
+            sys.settrace(trace_semantics)
+            try:
+                keys = intern(*args)
+            finally:
+                sys.settrace(tracer)
+            sizes.append(len(keys))
+            return keys
+
+        monkeypatch.setattr(semantics, "_intern", counted_intern)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("data N = Z | S N"))
+        assert cli.main(["--check", "--depth", str(depth)]) == 0
+        summary = f"-- N: pass (universe {depth}, sampled 200 predicates, seed 271828)\n"
+        assert capsys.readouterr().out.endswith(summary)
+        nat = parse_decl("data N = Z | S N")
+        assert sizes == [semantics.universe_size(nat, semantics.GroundEnv({}), depth)] == [depth]
 
     @pytest.mark.parametrize("limit, checked", [(38, True), (37, False)])
     def test_universe_limit_is_inclusive(self, limit, checked, monkeypatch, capsys):

@@ -206,6 +206,35 @@ class TestCountedUniverse:
         with pytest.raises(UnsupportedTypeError, match="String"):
             universe_size(parse_decl(corpus.LAMBDA), GroundEnv({"c": ("k",)}), 2)
 
+    # Argument shapes the corpus lacks: labels before, between and after the
+    # recursive arguments, three recursive arguments in a row, and a single
+    # recursive argument first or last.
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "data W a b = N | C a (W a b) b (W a b) a | D (W a b) (W a b) (W a b)",
+            "data F a b = E | F (F a b) a b",
+            "data L a b = E b | L a b (L a b)",
+            "data M a = K | M a (M a) a (M a) (M a) a",
+        ],
+    )
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("pointed", [False, True])
+    def test_block_order_matches_reference(self, source, depth, pointed):
+        decl = parse_decl(source)
+        env = GroundEnv.default_for(decl)
+        size = universe_size(decl, env, depth, pointed)
+        if size > 50_000:
+            pytest.skip(f"universe of {size} terms")
+        universe = enumerate_terms(decl, env, depth, pointed)
+        assert universe == reference_terms(decl, env, depth, pointed)
+        assert len(universe) == size
+
+    def test_a_constructor_of_1200_recursive_arguments(self):
+        decl = parse_decl("data Wide = Leaf | Node" + " Wide" * 1200)
+        keys = semantics._intern(semantics._argument_slots(decl, NO_PARAMS, 2), 2, False)
+        assert keys == [("Leaf",), ("Node", *[0] * 1200)]
+
     def test_oversized_exhaustive_check_is_refused_before_enumeration(self, monkeypatch):
         def no_enumeration(*args):
             raise AssertionError("the universe was built")
