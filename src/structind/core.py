@@ -8,6 +8,7 @@ constants, never variables.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -17,12 +18,11 @@ from itertools import repeat
 # Haskell lexical convention: type and constructor names start uppercase,
 # type and term variables start lowercase.
 
+_NAME_TAIL = re.compile(r"[\w']*")  # \w is exactly str.isalnum() or "_"
+
+
 def valid_name(name: str) -> bool:
-    return (
-        bool(name)
-        and name[0].isalpha()
-        and all(ch.isalnum() or ch in "_'" for ch in name)
-    )
+    return bool(name) and name[0].isalpha() and _NAME_TAIL.fullmatch(name, 1) is not None
 
 
 def is_upper_name(name: str) -> bool:
@@ -76,33 +76,26 @@ def ty_con(ty: TypeExpr) -> str | None:
     return None
 
 
+def _type_nodes(types: list) -> list:
+    """Every node of the types, breadth first, without recursing."""
+    nodes = list(types)
+    for ty in nodes:  # the loop also visits what it appends
+        if ty.__class__ is App:
+            nodes += ty.args
+        elif ty.__class__ is TupleType:
+            nodes += ty.elems
+        elif ty.__class__ is Arrow:
+            nodes += ty.domain, ty.codomain
+    return nodes
+
+
 def type_vars(ty: TypeExpr) -> set[str]:
-    if isinstance(ty, Var):
-        return {ty.name}
-    if isinstance(ty, App):
-        out: set[str] = set()
-        for arg in ty.args:
-            out |= type_vars(arg)
-        return out
-    if isinstance(ty, TupleType):
-        out = set()
-        for elem in ty.elems:
-            out |= type_vars(elem)
-        return out
-    if isinstance(ty, Arrow):
-        return type_vars(ty.domain) | type_vars(ty.codomain)
-    return set()
+    return {t.name for t in _type_nodes([ty]) if t.__class__ is Var}
 
 
 def mentions_type(ty: TypeExpr, name: str) -> bool:
     """True when `name` occurs as an App head anywhere inside `ty`."""
-    if isinstance(ty, App):
-        return ty.head == name or any(mentions_type(a, name) for a in ty.args)
-    if isinstance(ty, TupleType):
-        return any(mentions_type(e, name) for e in ty.elems)
-    if isinstance(ty, Arrow):
-        return mentions_type(ty.domain, name) or mentions_type(ty.codomain, name)
-    return False
+    return any(t.__class__ is App and t.head == name for t in _type_nodes([ty]))
 
 
 # --- declarations -------------------------------------------------------------
@@ -143,14 +136,15 @@ class DataDecl:
         repeated = [n for n, k in Counter(c.name for c in self.constructors).items() if k > 1]
         if repeated:
             raise ValueError(f"duplicate constructor {repeated[0]!r}")
-        for ctor in self.constructors:
-            for ty in ctor.arg_types:
-                loose = type_vars(ty) - seen
-                if loose:
-                    raise ValueError(
-                        f"type variable {min(loose)!r} in constructor "
-                        f"{ctor.name} is not a parameter of {self.type_name}"
-                    )
+        for t in _type_nodes([ty for ctor in self.constructors for ty in ctor.arg_types]):
+            if t.__class__ is Var and t.name not in seen:
+                for ctor in self.constructors:  # name the first offending argument's
+                    for ty in ctor.arg_types:
+                        if type_vars(ty) - seen:
+                            raise ValueError(
+                                f"type variable {min(type_vars(ty) - seen)!r} in constructor "
+                                f"{ctor.name} is not a parameter of {self.type_name}"
+                            )
 
 
 # --- terms ---------------------------------------------------------------------
@@ -354,6 +348,19 @@ def _open(f: Forall, env: dict, binders: list[tuple]) -> tuple[dict, Formula]:
     return env, f
 
 
+def _erased(run: range, binder: tuple) -> tuple:
+    """The run, and the binder's sort class and type nodes, with each type
+    variable that the sort's environment binds written as None: equal for
+    two binders that can pair."""
+    _, sort, env = binder
+    nodes = () if sort.__class__ is OfKindStar else _type_nodes([sort.ty])
+    return run, sort.__class__, *(
+        (None if ("type", t.name) in env else t.name) if t.__class__ is Var
+        else getattr(t, "head", t.__class__)
+        for t in nodes
+    )
+
+
 class _Match:
     """One walk over two formulas, and a pairing of the binders of formula 1
     with binders of the same run in formula 2. A run is a group of binders
@@ -382,6 +389,13 @@ class _Match:
         if self.runs and not all(self._ordered(run) for run in set(self.run)):
             return False
         free = [b for b in range(len(self.binders1)) if b not in self.pairs]
+        # An unused binder pairs only with an unpaired one of its own run
+        # whose sort agrees, so each run's two multisets of sorts must match.
+        unpaired = Counter(_erased(self.run[b], self.binders1[b]) for b in free)
+        unused2 = (b for b in range(len(self.binders2)) if b not in self.taken)
+        unpaired.subtract(_erased(self.run[b], self.binders2[b]) for b in unused2)
+        if any(unpaired.values()):
+            return False
         tries = []
         while len(tries) < len(free):
             tries.append(self._candidates(free[len(tries)]))

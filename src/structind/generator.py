@@ -66,13 +66,22 @@ def is_recursive_arg(decl: DataDecl, ty: TypeExpr) -> bool:
 
 def name_arguments(decl: DataDecl, ctor: ConstructorDecl) -> list[tuple[str, TypeExpr]]:
     """Pair every constructor argument with its quantified variable name."""
+    _own(decl, ctor)
+    return [(var, ty) for var, ty, _ in _arguments(decl, ctor)]
+
+
+def _own(decl: DataDecl, ctor: ConstructorDecl) -> None:
     if ctor not in decl.constructors:
         raise ValueError(f"constructor {ctor.name!r} does not belong to {decl.type_name!r}")
-    named = []
+
+
+def _arguments(decl: DataDecl, ctor: ConstructorDecl) -> list[tuple[str, TypeExpr, bool]]:
+    """Each argument's variable name and type, and whether it is recursive."""
+    out = []
     for i, ty in enumerate(ctor.arg_types, start=1):
-        base = induction_var(decl) if is_recursive_arg(decl, ty) else _PLAIN_BASE
-        named.append((f"{base}{i}", ty))
-    return named
+        recursive = is_recursive_arg(decl, ty)
+        out.append((f"{induction_var(decl) if recursive else _PLAIN_BASE}{i}", ty, recursive))
+    return out
 
 
 def conjoin(formulas: list[Formula]) -> Formula:
@@ -98,20 +107,21 @@ def conjuncts(f: Formula) -> list[Formula]:
     return out
 
 
-def _forall_terms(named: list[tuple[str, TypeExpr]], body: Formula) -> Formula:
-    for var, ty in reversed(named):
+def constructor_clause(decl: DataDecl, ctor: ConstructorDecl, pred_name: str = PRED_NAME) -> Formula:
+    _own(decl, ctor)
+    return _clause(decl, ctor, pred_name)
+
+
+def _clause(decl: DataDecl, ctor: ConstructorDecl, pred_name: str) -> Formula:
+    named = _arguments(decl, ctor)
+    terms = [TVar(var) for var, _, _ in named]
+    hypotheses = [PredApp(pred_name, t) for t, (_, _, rec) in zip(terms, named) if rec]
+    body: Formula = PredApp(pred_name, TApp(ctor.name, tuple(terms)))
+    if hypotheses:
+        body = Implies(conjoin(hypotheses), body)
+    for var, ty, _ in reversed(named):
         body = Forall(var, OfType(ty), body)
     return body
-
-
-def constructor_clause(decl: DataDecl, ctor: ConstructorDecl, pred_name: str = PRED_NAME) -> Formula:
-    named = name_arguments(decl, ctor)
-    conclusion = PredApp(pred_name, TApp(ctor.name, tuple(TVar(v) for v, _ in named)))
-    hypotheses = [
-        PredApp(pred_name, TVar(v)) for v, ty in named if is_recursive_arg(decl, ty)
-    ]
-    body = Implies(conjoin(hypotheses), conclusion) if hypotheses else conclusion
-    return _forall_terms(named, body)
 
 
 def assemble(decl: DataDecl, pointed: bool, clause_formulas: list[Formula]) -> Formula:
@@ -130,7 +140,7 @@ def assemble(decl: DataDecl, pointed: bool, clause_formulas: list[Formula]) -> F
 
 
 def induction_principle(decl: DataDecl, opts: GenOptions = GenOptions()) -> Principle:
-    clauses = tuple((c.name, constructor_clause(decl, c)) for c in decl.constructors)
+    clauses = tuple((c.name, _clause(decl, c, PRED_NAME)) for c in decl.constructors)
     formula = assemble(decl, opts.pointed, [f for _, f in clauses])
     return Principle(decl, opts.pointed, formula, clauses)
 

@@ -90,6 +90,10 @@ class _Reader:
         found = repr(word) if word else "end of input"
         raise ParseError(self.pos(self.i), f"{message}, found {found}", expected)
 
+    def fail_at(self, index: int, message: str):
+        self.i = index
+        self.fail(message)
+
 
 _TOKEN = re.compile(
     r"(?:[ \t\r\n]|--[^\n]*)*"
@@ -134,14 +138,11 @@ class _Parser(_Reader):
     def kind(self) -> str:
         return self.kinds[self.i]
 
-    def advance(self) -> str:
-        self.i += 1
-        return self.words[self.i - 1]
-
     def expect(self, kind: str, what: str) -> str:
         if self.kinds[self.i] != kind:
             self.fail(f"expected {what}", (what,))
-        return self.advance()
+        self.i += 1
+        return self.words[self.i - 1]
 
     def program(self) -> list[DataDecl]:
         decls: list[DataDecl] = []
@@ -172,7 +173,7 @@ class _Parser(_Reader):
         if self.kind() == "upper":
             self.fail("type parameters must be lowercase names")
         self.expect("=", "'='")
-        # `var` notes each type variable read outside `scope` in `loose`.
+        # Each type variable read outside `scope` is noted in `loose`.
         self.scope, self.loose, taken = frozenset(params), set(), set()
         ctors = [self.ctor(name, taken)]
         while self.kind() == "|":
@@ -198,52 +199,58 @@ class _Parser(_Reader):
         taken.add(name)
         if self.kind() == "{":
             self.fail("unsupported feature: record syntax")
-        args: list[TypeExpr] = []
-        while True:
-            kind = self.kind()
-            if kind == "!":
-                self.fail("unsupported feature: strictness annotation")
-            if kind not in _ATYPE_FIRST:
-                break
-            start = self.i
-            ty = self.atype()
-            if self.loose:
-                raise ParseError(
-                    self.pos(start),
-                    f"type variable {min(self.loose)!r} is not a parameter of {type_name!r}",
-                )
-            args.append(ty)
+        args = self.atypes(type_name)
+        if self.kind() == "!":
+            self.fail("unsupported feature: strictness annotation")
         if self.kind() == "op":
             if self.peek().startswith(":"):
                 self.fail("unsupported feature: infix constructor")
             self.fail("unexpected operator")
-        return ConstructorDecl(name, tuple(args))
+        return ConstructorDecl(name, args)
 
     # --- types ---
 
-    def atype(self) -> TypeExpr:
-        kind = self.kind()
-        if kind == "lower":
-            return self.var()
-        if kind == "upper":
-            return App(self.advance(), ())
-        if kind == "(":
-            return self.paren_type()
-        self.fail("expected a type")
-
-    def var(self) -> Var:
-        name = self.advance()
-        if name not in self.scope:
-            self.loose.add(name)
-        return Var(name)
+    def atypes(self, type_name: str | None = None) -> tuple[TypeExpr, ...]:
+        """The atypes from here up to the first token that starts none. With
+        `type_name`, these are a constructor's arguments, and one that reads
+        a loose variable is an error at its start."""
+        kinds, words, scope = self.kinds, self.words, self.scope
+        args = []
+        i = self.i
+        while True:
+            kind = kinds[i]
+            if kind == "upper":
+                args.append(App(words[i], ()))
+                i += 1
+                continue
+            start = i
+            if kind == "lower":
+                if words[i] not in scope:
+                    self.loose.add(words[i])
+                args.append(Var(words[i]))
+                i += 1
+            elif kind == "(":
+                self.i = i
+                args.append(self.paren_type())
+                i = self.i
+            else:
+                self.i = i
+                return tuple(args)
+            if type_name is not None and self.loose:
+                raise ParseError(
+                    self.pos(start),
+                    f"type variable {min(self.loose)!r} is not a parameter of {type_name!r}",
+                )
 
     def paren_type(self) -> TypeExpr:
-        self.expect("(", "'('")
+        self.i += 1  # past the "(" that the caller saw
         elems = [self.type_()]
-        while self.kind() == ",":
+        while self.kinds[self.i] == ",":
             self.i += 1
             elems.append(self.type_())
-        self.expect(")", "')'")
+        if self.kinds[self.i] != ")":
+            self.fail("expected ')'", ("')'",))
+        self.i += 1
         if len(elems) == 1:
             return elems[0]
         return TupleType(tuple(elems))
@@ -255,31 +262,32 @@ class _Parser(_Reader):
             )
         self.depth += 1
         ty = self.btype()
-        if self.kind() == "->":
+        if self.kinds[self.i] == "->":
             self.i += 1
             ty = Arrow(ty, self.type_())
         self.depth -= 1
         return ty
 
     def btype(self) -> TypeExpr:
-        kind = self.kind()
+        i = self.i
+        kind = self.kinds[i]
         if kind == "upper":
-            head = self.advance()
-            args = []
-            while self.kind() in _ATYPE_FIRST:
-                args.append(self.atype())
-            return App(head, tuple(args))
+            self.i += 1
+            return App(self.words[i], self.atypes())
         if kind == "lower":
-            var = self.var()
-            if self.kind() in _ATYPE_FIRST:
-                self.fail(f"cannot apply arguments to type variable {var.name!r}")
-            return var
-        if kind == "(":
+            ty = Var(self.words[i])
+            if ty.name not in self.scope:
+                self.loose.add(ty.name)
+            self.i += 1
+        elif kind == "(":
             ty = self.paren_type()
-            if self.kind() in _ATYPE_FIRST:
-                self.fail("unsupported feature: application of a parenthesized type")
-            return ty
-        self.fail("expected a type")
+        else:
+            self.fail("expected a type")
+        if self.kinds[self.i] in _ATYPE_FIRST:
+            if kind == "lower":
+                self.fail(f"cannot apply arguments to type variable {ty.name!r}")
+            self.fail("unsupported feature: application of a parenthesized type")
+        return ty
 
 
 def parse_decl(text: str) -> DataDecl:

@@ -20,7 +20,7 @@ from .core import (
     And,
     App,
     Arrow,
-    Bottom,
+    BOTTOM,
     DataDecl,
     Forall,
     Formula,
@@ -74,7 +74,8 @@ _TRAILING_DIGITS = re.compile(r"(.+?)(\d+)$")
 def _ident(name: str, st: _Style) -> str:
     if not st.subscripts:
         return name
-    m = _TRAILING_DIGITS.match(name)
+    name = name.replace("_", "\\_")  # before the subscript, which is the one bare "_"
+    m = _TRAILING_DIGITS.match(name) if name[-1:].isdigit() else None
     if not m:
         return name
     stem, digits = m.groups()
@@ -285,31 +286,39 @@ def _sx_term(t: Term) -> str:
 
 
 _SX_TOKEN = re.compile(r"(?:[ \t\r\n]|;[^\n]*)*([()]|[^ \t\r\n();]+|\Z)")
+_SX_COMMENT = re.compile(r";[^\n]*")
+_SX_SPACING = (("(", " ( "), (")", " ) "), ("\t", " "), ("\r", " "), ("\n", " "))
+_NOT_ATOM = ("(", ")", "")
 # A declaration type nested parser.MAX_TYPE_NESTING levels deep writes type
 # forms up to three deep per level (an arrow, an application, a tuple), so
 # this admits every type the generator can write; terms it writes are shallow.
 MAX_SEXPR_NESTING = 3 * MAX_TYPE_NESTING
+# What `_SxParser.form` reads: (var class, app class, noun, what a var form
+# names, what an app form names).
+_TYPE = (Var, App, "type", "a type variable", "a type constructor")
+_TERM = (TVar, TApp, "term", "a term variable", "a constructor name")
 
 
 class _SxParser(_Reader):
+    """Each method reads from token `self.i` on, through locals, and leaves
+    `self.i` after what it read."""
+
     pattern, comment = _SX_TOKEN, ";"
 
-    def open_(self):
-        if self.words[self.i] != "(":
-            self.fail("expected '('")
-        self.i += 1
+    def __init__(self, text: str):
+        # The pattern's tokens, split without it: comments go, parentheses
+        # stand alone, and only " \t\r\n" separate atoms.
+        self.text = text
+        spaced = _SX_COMMENT.sub("", text) if ";" in text else text
+        for old, new in _SX_SPACING:
+            spaced = spaced.replace(old, new)
+        self.words = [*filter(None, spaced.split(" ")), ""]
+        self.i = 0
 
     def close_(self):
         if self.words[self.i] != ")":
             self.fail("expected ')'")
         self.i += 1
-
-    def atom(self, what: str) -> str:
-        word = self.words[self.i]
-        if word in ("(", ")", ""):
-            self.fail(f"expected {what}")
-        self.i += 1
-        return word
 
     def document(self) -> Formula:
         f = self.formula()
@@ -325,118 +334,111 @@ class _SxParser(_Reader):
         # Implies before its left operand is read, (And or Implies, left)
         # after, and (variable, sort) for a quantifier.
         pending: list = []
-        open_, atom, close = self.open_, self.atom, self.close_
-        push, pop = pending.append, pending.pop
+        words, i = self.words, self.i
         while True:
-            open_()
-            tag = atom("a formula form")
+            if words[i] != "(":
+                self.fail_at(i, "expected '('")
+            tag, i = words[i + 1], i + 2
             if tag == "forall":
-                open_()
-                var = atom("a bound variable")
-                sort = self.sort()
-                close()
-                push((var, sort))
+                if words[i] != "(":
+                    self.fail_at(i, "expected '('")
+                if words[i + 1] in _NOT_ATOM:
+                    self.fail_at(i + 1, "expected a bound variable")
+                self.i = i + 2
+                pending.append((words[i + 1], self.sort()))
+                self.close_()
+                i = self.i
                 continue
-            if tag == "implies":
-                push(Implies)
-                continue
-            if tag == "and":
-                push(And)
+            if tag == "implies" or tag == "and":
+                pending.append(Implies if tag == "implies" else And)
                 continue
             if tag == "pred":
-                name = atom("a predicate name")
-                f: Formula = PredApp(name, self.term())
+                if words[i] in _NOT_ATOM:
+                    self.fail_at(i, "expected a predicate name")
+                self.i = i + 1
+                f: Formula = PredApp(words[i], self.form(_TERM))
+                i = self.i
             elif tag == "true":
                 f = Truth()
+            elif tag in _NOT_ATOM:
+                self.fail_at(i - 1, "expected a formula form")
             else:
-                raise ParseError(self.pos(self.i - 1), f"unknown formula form {tag!r}")
-            close()
-            while pending:
-                form = pop()
+                raise ParseError(self.pos(i - 1), f"unknown formula form {tag!r}")
+            while True:  # close the forms that `f` completes
+                if words[i] != ")":
+                    self.fail_at(i, "expected ')'")
+                i += 1
+                if not pending:
+                    self.i = i
+                    return f
+                form = pending.pop()
                 if form is And or form is Implies:
-                    push((form, f))
+                    pending.append((form, f))
                     break
                 if form[0] is And or form[0] is Implies:
                     f = form[0](form[1], f)
                 else:
                     f = Forall(form[0], form[1], f)
-                close()
-            else:
-                return f
 
     def sort(self) -> Sort:
-        self.open_()
-        tag = self.atom("a sort form")
+        words, i = self.words, self.i
+        if words[i] != "(":
+            self.fail_at(i, "expected '('")
+        tag, self.i = words[i + 1], i + 2
         if tag == "kind-star":
-            self.close_()
-            return OF_KIND_STAR
-        if tag == "ty":
-            ty = self.type_()
-            self.close_()
-            return OfType(ty)
-        if tag == "pred-over":
-            ty = self.type_()
-            self.close_()
-            return PredOver(ty)
-        raise ParseError(self.pos(self.i - 1), f"unknown sort form {tag!r}")
+            sort: Sort = OF_KIND_STAR
+        elif tag == "ty" or tag == "pred-over":
+            sort = OfType(self.form(_TYPE)) if tag == "ty" else PredOver(self.form(_TYPE))
+        elif tag in _NOT_ATOM:
+            self.fail_at(i + 1, "expected a sort form")
+        else:
+            raise ParseError(self.pos(i + 1), f"unknown sort form {tag!r}")
+        self.close_()
+        return sort
 
-    def too_deep(self):
-        raise ParseError(
-            self.pos(self.i - 1), f"type or term nested more than {MAX_SEXPR_NESTING} levels deep"
-        )
-
-    def type_(self, depth: int = 0) -> TypeExpr:
-        self.open_()
+    def form(self, kind: tuple, depth: int = 0):
+        """A type or a term, as `kind` says, nested `depth` forms deep."""
+        var, app, noun, var_names, app_names = kind
+        words, i = self.words, self.i
+        if words[i] != "(":
+            self.fail_at(i, "expected '('")
         if depth == MAX_SEXPR_NESTING:
-            self.too_deep()
-        tag_at = self.i
-        tag = self.atom("a type form")
-        if tag == "var":
-            name = self.atom("a type variable")
-            self.close_()
-            return Var(name)
-        if tag == "app":
-            head = self.atom("a type constructor")
+            raise ParseError(
+                self.pos(i), f"type or term nested more than {MAX_SEXPR_NESTING} levels deep"
+            )
+        tag = words[i + 1]
+        if tag == "var" or tag == "app":
+            name = words[i + 2]
+            if name in _NOT_ATOM:
+                self.fail_at(i + 2, f"expected {var_names if tag == 'var' else app_names}")
+            i += 3
             args = []
-            while self.peek() == "(":
-                args.append(self.type_(depth + 1))
-            self.close_()
-            return App(head, tuple(args))
-        if tag == "tuple":
+            while tag == "app" and words[i] == "(":
+                self.i = i
+                args.append(self.form(kind, depth + 1))
+                i = self.i
+            if words[i] != ")":
+                self.fail_at(i, "expected ')'")
+            self.i = i + 1
+            return var(name) if tag == "var" else app(name, tuple(args))
+        self.i = i + 2
+        if tag == "bottom" and var is TVar:
+            out = BOTTOM
+        elif tag == "arrow" and var is Var:
+            out = Arrow(self.form(kind, depth + 1), self.form(kind, depth + 1))
+        elif tag == "tuple" and var is Var:
             elems = []
-            while self.peek() == "(":
-                elems.append(self.type_(depth + 1))
+            while words[self.i] == "(":
+                elems.append(self.form(kind, depth + 1))
             if len(elems) < 2:
-                raise ParseError(self.pos(tag_at), "tuple type needs at least two components")
-            self.close_()
-            return TupleType(tuple(elems))
-        if tag == "arrow":
-            domain = self.type_(depth + 1)
-            codomain = self.type_(depth + 1)
-            self.close_()
-            return Arrow(domain, codomain)
-        raise ParseError(self.pos(tag_at), f"unknown type form {tag!r}")
-
-    def term(self, depth: int = 0) -> Term:
-        self.open_()
-        if depth == MAX_SEXPR_NESTING:
-            self.too_deep()
-        tag = self.atom("a term form")
-        if tag == "var":
-            name = self.atom("a term variable")
-            self.close_()
-            return TVar(name)
-        if tag == "app":
-            ctor = self.atom("a constructor name")
-            args = []
-            while self.peek() == "(":
-                args.append(self.term(depth + 1))
-            self.close_()
-            return TApp(ctor, tuple(args))
-        if tag == "bottom":
-            self.close_()
-            return Bottom()
-        raise ParseError(self.pos(self.i - 1), f"unknown term form {tag!r}")
+                raise ParseError(self.pos(i + 1), "tuple type needs at least two components")
+            out = TupleType(tuple(elems))
+        elif tag in _NOT_ATOM:
+            self.fail_at(i + 1, f"expected a {noun} form")
+        else:
+            raise ParseError(self.pos(i + 1), f"unknown {noun} form {tag!r}")
+        self.close_()
+        return out
 
 
 def parse_sexpr(text: str) -> Formula:

@@ -8,7 +8,8 @@ quantifier scopes over exactly the next self-delimiting group, which may
 be a parenthesized quantifier (an antecedent of an implication). On the
 principle shapes the generator emits this is an exact inverse of
 render_latex, which lets tests check that the rendered string denotes
-the formula it came from.
+the formula it came from. A name's "_" is written "\\_"; the one bare "_"
+opens its trailing-digit subscript, braced or not.
 """
 
 import re
@@ -35,7 +36,7 @@ _TOKEN = re.compile(
     r"""\\forall|\\wedge|\\Rightarrow|\\rightarrow|\\bot|\\top
         |\{\\mathbb\{B\}\}
         |[()*.:,]
-        |[A-Za-z](?:[A-Za-z0-9']|_(?!\{))*(?:_\{\d+\})?
+        |(?P<stem>[A-Za-z](?:[A-Za-z0-9']|\\_)*)(?:_(?P<digits>\d+)|_\{(?P<braced>\d+)\})?
     """,
     re.VERBOSE,
 )
@@ -50,8 +51,8 @@ def _tokenize(text):
         if between.strip():
             raise ValueError(f"stray characters {between.strip()!r}")
         tok = m.group(0)
-        if tok[0].isalpha():
-            tok = tok.replace("_", "").replace("{", "").replace("}", "")
+        if m.group("stem"):
+            tok = m.group("stem").replace("\\_", "_") + (m.group("digits") or m.group("braced") or "")
         tokens.append(tok)
         pos = m.end()
     if text[pos:].strip():

@@ -1,9 +1,12 @@
 """Core AST construction, free variables, and the two equivalences."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 import strategies
+from structind import core
 from structind.core import (
     And,
     App,
@@ -28,9 +31,12 @@ from structind.core import (
     _sort_type_vars,
     alpha_eq,
     free_vars,
+    is_lower_name,
+    is_upper_name,
     prefix_perm_eq,
     subformulas,
     ty_con,
+    valid_name,
 )
 
 NAT = App("Nat")
@@ -96,6 +102,32 @@ class TestDeclValidation:
             DataDecl("t", (), (ConstructorDecl("C"),))
         with pytest.raises(ValueError):
             ConstructorDecl("c")
+
+    def test_loose_variable_is_named_from_the_first_offending_argument(self):
+        with pytest.raises(ValueError, match="variable 'z' in constructor C "):
+            DataDecl("T", (), (ConstructorDecl("C", (Var("z"), Var("b"))),))
+        # The first offending argument's least loose variable, not the
+        # constructor's, nor a later constructor's.
+        first = App("Pair", (Var("y"), Arrow(Var("a"), Var("c"))))
+        ctors = (ConstructorDecl("C", (Var("a"), first, Var("b"))), ConstructorDecl("D", (Var("a0"),)))
+        with pytest.raises(ValueError, match="variable 'c' in constructor C "):
+            DataDecl("T", ("a",), ctors)
+        with pytest.raises(ValueError, match="variable 'a0' in constructor D "):
+            DataDecl("T", ("a",), ctors[::-1])
+
+
+def _char_loop_valid_name(name: str) -> bool:
+    """valid_name as a loop over the characters."""
+    return bool(name) and name[0].isalpha() and all(ch.isalnum() or ch in "_'" for ch in name)
+
+
+def test_names_agree_with_the_character_loop_on_every_code_point():
+    chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    for names in (chars, ["a" + ch for ch in chars]):
+        valid = [_char_loop_valid_name(n) for n in names]
+        assert list(map(valid_name, names)) == valid
+        assert list(map(is_upper_name, names)) == [v and n[0].isupper() for v, n in zip(valid, names)]
+        assert list(map(is_lower_name, names)) == [v and n[0].islower() for v, n in zip(valid, names)]
 
 
 class TestFreeVars:
@@ -273,3 +305,36 @@ class TestSubformulas:
         assert kinds.count("PredApp") == 4
         assert kinds.count("Implies") == 2
         assert kinds.count("And") == 1
+
+
+class TestUnusedBinderSearch:
+    """Unused binders whose sorts cannot all pair fail before any search."""
+
+    def assert_no_pairing(self, monkeypatch, check):
+        """`check` holds without pairing two binders; a search fails at once."""
+
+        def refuse(*_):
+            raise AssertionError("paired binders")
+
+        monkeypatch.setattr(core._Match, "_pair", refuse)
+        assert check()
+
+    @pytest.mark.parametrize("n", [8, 30])
+    def test_one_unused_binder_of_another_sort(self, monkeypatch, n):
+        nat, m, k = OfType(NAT), OfType(App("M")), OfType(App("K"))
+        f, g = Truth(), Truth()
+        for i in range(n):
+            f, g = Forall(f"x{i}", nat, f), Forall(f"y{i}", nat, g)
+        f, g = Forall("u", m, f), Forall("u", k, g)
+        self.assert_no_pairing(monkeypatch, lambda: not prefix_perm_eq(f, g))
+        self.assert_no_pairing(monkeypatch, lambda: not alpha_eq(f, g))
+
+    def test_bound_type_variables_are_erased(self, monkeypatch):
+        # x and y read different type binders, which pair only in the search.
+        star = OF_KIND_STAR
+        f = Forall("a", star, Forall("b", star, Forall("x", OfType(Var("a")), Truth())))
+        g = Forall("b", star, Forall("a", star, Forall("y", OfType(Var("a")), Truth())))
+        assert prefix_perm_eq(f, g) and prefix_perm_eq(g, f)
+        # Free type variables keep their names.
+        c, d = (Forall("x", OfType(Var(v)), Truth()) for v in "cd")
+        self.assert_no_pairing(monkeypatch, lambda: not prefix_perm_eq(c, d))

@@ -1,5 +1,7 @@
 """Text, LaTeX, s-expression, and declaration-source rendering."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -124,6 +126,17 @@ class TestRenderLatex:
     def test_output_parses_back_to_the_same_formula(self, name):
         formula = principle_for({**corpus.ALL, **ONE_CONSTRUCTOR}[name]).formula
         assert parse_latex(render_latex(formula)) == formula
+
+    @pytest.mark.parametrize("pointed", [False, True])
+    def test_names_with_underscores(self, pointed):
+        formula = principle_for("data T a_1 a1 = C a_1 a1 | My_D (T a_1 a1)", pointed).formula
+        latex = render_latex(formula)
+        # "_" in a name is escaped, so the only bare "_" opens a subscript.
+        assert "__" not in latex.replace("\\_", "")
+        assert "\\forall a\\__1:*. \\forall a_1:*. " in latex and "My\\_D" in latex
+        binders = re.findall(r"\\forall (\S+?):", latex)
+        assert len(set(binders)) == len(binders) == 7
+        assert parse_latex(latex) == formula
 
     def test_balanced_parens_and_braces(self):
         for source in corpus.ALL.values():
