@@ -389,13 +389,14 @@ class _Match:
         if self.runs and not all(self._ordered(run) for run in set(self.run)):
             return False
         free = [b for b in range(len(self.binders1)) if b not in self.pairs]
-        # An unused binder pairs only with an unpaired one of its own run
-        # whose sort agrees, so each run's two multisets of sorts must match.
-        unpaired = Counter(_erased(self.run[b], self.binders1[b]) for b in free)
-        unused2 = (b for b in range(len(self.binders2)) if b not in self.taken)
-        unpaired.subtract(_erased(self.run[b], self.binders2[b]) for b in unused2)
-        if any(unpaired.values()):
-            return False
+        if free:
+            # An unused binder pairs only with an unpaired one of its own run
+            # whose sort agrees, so each run's two multisets of sorts must match.
+            unpaired = Counter(_erased(self.run[b], self.binders1[b]) for b in free)
+            unused2 = (b for b in range(len(self.binders2)) if b not in self.taken)
+            unpaired.subtract(_erased(self.run[b], self.binders2[b]) for b in unused2)
+            if any(unpaired.values()):
+                return False
         tries = []
         while len(tries) < len(free):
             tries.append(self._candidates(free[len(tries)]))

@@ -52,36 +52,34 @@ class _Style:
     bottom: str
     truth: str
     sep: str
-    subscripts: bool
+    # The LaTeX form of each name written so far in one render_latex call;
+    # None for plain text, which writes names as they are.
+    idents: dict[str, str] | None
 
 
-_TEXT = _Style("∀", " ∧ ", " ⇒ ", " → ", "\U0001d539", "⊥", "⊤", " ", False)
-_LATEX = _Style(
-    "\\forall ",
-    " \\wedge ",
-    " \\Rightarrow ",
-    " \\rightarrow ",
-    "{\\mathbb{B}}",
-    "\\bot",
-    "\\top",
-    "\\; ",
-    True,
+_TEXT = _Style("∀", " ∧ ", " ⇒ ", " → ", "\U0001d539", "⊥", "⊤", " ", None)
+_LATEX = (  # render_latex adds a fresh dict of names
+    "\\forall ", " \\wedge ", " \\Rightarrow ", " \\rightarrow ",
+    "{\\mathbb{B}}", "\\bot", "\\top", "\\; ",
 )
 
 _TRAILING_DIGITS = re.compile(r"(.+?)(\d+)$")
 
 
 def _ident(name: str, st: _Style) -> str:
-    if not st.subscripts:
+    if st.idents is None:
         return name
-    name = name.replace("_", "\\_")  # before the subscript, which is the one bare "_"
-    m = _TRAILING_DIGITS.match(name) if name[-1:].isdigit() else None
-    if not m:
-        return name
-    stem, digits = m.groups()
-    if len(digits) == 1:
-        return f"{stem}_{digits}"
-    return f"{stem}_{{{digits}}}"
+    latex = st.idents.get(name)
+    if latex is None:
+        # "_" is escaped first, so that the only bare "_" opens the subscript
+        # of trailing digits.
+        latex = name.replace("_", "\\_")
+        m = _TRAILING_DIGITS.match(latex) if latex[-1:].isdigit() else None
+        if m:
+            stem, digits = m.groups()
+            latex = f"{stem}_{digits}" if len(digits) == 1 else f"{stem}_{{{digits}}}"
+        st.idents[name] = latex
+    return latex
 
 
 def _term(t: Term, st: _Style, ren: dict[str, str]) -> str:
@@ -178,7 +176,7 @@ def render_text(f: Formula) -> str:
 
 
 def render_latex(f: Formula) -> str:
-    return _formula(f, _LATEX, True, frozenset(), {})
+    return _formula(f, _Style(*_LATEX, {}), True, frozenset(), {})
 
 
 # --- declaration source ---------------------------------------------------------
