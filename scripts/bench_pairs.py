@@ -114,8 +114,10 @@ def main(argv: list[str] | None = None) -> int:
     summary = summarize(metrics, runs)
     failed = {side: [r["failed"] for r in rs] for side, rs in runs.items()}
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
-          f"{seconds:g} s per run; failed items parent {failed['parent']}, change {failed['change']}")
-    print(f"{'metric':36} {'parent median [q1-q3]':30} {'change median [q1-q3]':30} wins   worse by (bound)")
+          f"{seconds:g} s per run; failed items parent {failed['parent']}, "
+          f"change {failed['change']}")
+    print(f"{'metric':36} {'parent median [q1-q3]':30} {'change median [q1-q3]':30} "
+          "wins   worse by (bound)")
     for name, s in summary.items():
         (p1, p2, p3), (c1, c2, c3) = s["parent"], s["change"]
         worse = "n/a" if s["worse_by"] is None else f"{s['worse_by']:+.1%}"

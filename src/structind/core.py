@@ -95,7 +95,13 @@ def type_vars(ty: TypeExpr) -> set[str]:
 
 def mentions_type(ty: TypeExpr, name: str) -> bool:
     """True when `name` occurs as an App head anywhere inside `ty`."""
-    return any(t.__class__ is App and t.head == name for t in _type_nodes([ty]))
+    if isinstance(ty, App):
+        return ty.head == name or any(mentions_type(a, name) for a in ty.args)
+    if isinstance(ty, TupleType):
+        return any(mentions_type(e, name) for e in ty.elems)
+    if isinstance(ty, Arrow):
+        return mentions_type(ty.domain, name) or mentions_type(ty.codomain, name)
+    return False
 
 
 # --- declarations -------------------------------------------------------------

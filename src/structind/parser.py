@@ -135,9 +135,6 @@ class _Parser(_Reader):
             raise ParseError(self.pos(bad), f"unexpected character {self.words[bad][0]!r}")
         self.depth = 0
 
-    def kind(self) -> str:
-        return self.kinds[self.i]
-
     def expect(self, kind: str, what: str) -> str:
         if self.kinds[self.i] != kind:
             self.fail(f"expected {what}", (what,))
@@ -147,7 +144,7 @@ class _Parser(_Reader):
     def program(self) -> list[DataDecl]:
         decls: list[DataDecl] = []
         seen: set[str] = set()
-        while self.kind() != "eof":
+        while self.kinds[self.i] != "eof":
             name_at = self.i + 1  # the type name follows 'data'
             decl = self.decl()
             if decl.type_name in seen:
@@ -164,22 +161,22 @@ class _Parser(_Reader):
         self.expect("data", "'data'")
         name = self.expect("upper", "type name")
         first = self.i
-        while self.kind() == "lower":
+        while self.kinds[self.i] == "lower":
             self.i += 1
         params = self.words[first : self.i]
         for k, p in enumerate(params):
             if p in params[:k]:
                 raise ParseError(self.pos(first + k), f"duplicate type parameter {p!r}")
-        if self.kind() == "upper":
+        if self.kinds[self.i] == "upper":
             self.fail("type parameters must be lowercase names")
         self.expect("=", "'='")
         # Each type variable read outside `scope` is noted in `loose`.
         self.scope, self.loose, taken = frozenset(params), set(), set()
         ctors = [self.ctor(name, taken)]
-        while self.kind() == "|":
+        while self.kinds[self.i] == "|":
             self.i += 1
             ctors.append(self.ctor(name, taken))
-        if self.kind() == "deriving":
+        if self.kinds[self.i] == "deriving":
             self.fail("unsupported feature: deriving clause")
         # Titlecase letters, and letters without case, lex as lowercase
         # names; DataDecl rejects them, so they are reported where it would.
@@ -191,18 +188,18 @@ class _Parser(_Reader):
         return DataDecl(name, tuple(params), tuple(ctors))
 
     def ctor(self, type_name: str, taken: set[str]) -> ConstructorDecl:
-        if self.kind() == "lower":
+        if self.kinds[self.i] == "lower":
             self.fail("constructor names must be uppercase")
         name = self.expect("upper", "constructor name")
         if name in taken:
             raise ParseError(self.pos(self.i - 1), f"duplicate constructor {name!r}")
         taken.add(name)
-        if self.kind() == "{":
+        if self.kinds[self.i] == "{":
             self.fail("unsupported feature: record syntax")
         args = self.atypes(type_name)
-        if self.kind() == "!":
+        if self.kinds[self.i] == "!":
             self.fail("unsupported feature: strictness annotation")
-        if self.kind() == "op":
+        if self.kinds[self.i] == "op":
             if self.peek().startswith(":"):
                 self.fail("unsupported feature: infix constructor")
             self.fail("unexpected operator")

@@ -52,7 +52,8 @@ def _tokenize(text):
             raise ValueError(f"stray characters {between.strip()!r}")
         tok = m.group(0)
         if m.group("stem"):
-            tok = m.group("stem").replace("\\_", "_") + (m.group("digits") or m.group("braced") or "")
+            subscript = m.group("digits") or m.group("braced") or ""
+            tok = m.group("stem").replace("\\_", "_") + subscript
         tokens.append(tok)
         pos = m.end()
     if text[pos:].strip():

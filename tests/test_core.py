@@ -109,7 +109,10 @@ class TestDeclValidation:
         # The first offending argument's least loose variable, not the
         # constructor's, nor a later constructor's.
         first = App("Pair", (Var("y"), Arrow(Var("a"), Var("c"))))
-        ctors = (ConstructorDecl("C", (Var("a"), first, Var("b"))), ConstructorDecl("D", (Var("a0"),)))
+        ctors = (
+            ConstructorDecl("C", (Var("a"), first, Var("b"))),
+            ConstructorDecl("D", (Var("a0"),)),
+        )
         with pytest.raises(ValueError, match="variable 'c' in constructor C "):
             DataDecl("T", ("a",), ctors)
         with pytest.raises(ValueError, match="variable 'a0' in constructor D "):
@@ -126,8 +129,9 @@ def test_names_agree_with_the_character_loop_on_every_code_point():
     for names in (chars, ["a" + ch for ch in chars]):
         valid = [_char_loop_valid_name(n) for n in names]
         assert list(map(valid_name, names)) == valid
-        assert list(map(is_upper_name, names)) == [v and n[0].isupper() for v, n in zip(valid, names)]
-        assert list(map(is_lower_name, names)) == [v and n[0].islower() for v, n in zip(valid, names)]
+        first = [n[0] for n in names]
+        assert list(map(is_upper_name, names)) == [v and c.isupper() for v, c in zip(valid, first)]
+        assert list(map(is_lower_name, names)) == [v and c.islower() for v, c in zip(valid, first)]
 
 
 class TestFreeVars:

@@ -62,7 +62,8 @@ def _edit(rng, text):
         k = rng.randrange(len(chars) + 1)
         op = rng.randrange(4)
         if op == 0 or not chars:
-            chars.insert(k, rng.choice(_EDIT_CHARS) if rng.random() < 0.85 else rng.choice(_FRAGMENTS))
+            pieces = _EDIT_CHARS if rng.random() < 0.85 else _FRAGMENTS
+            chars.insert(k, rng.choice(pieces))
         elif op == 1:
             del chars[min(k, len(chars) - 1)]
         elif op == 2:
