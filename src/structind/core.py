@@ -144,7 +144,7 @@ class DataDecl:
             raise ValueError(f"duplicate constructor {repeated[0]!r}")
         for t in _type_nodes([ty for ctor in self.constructors for ty in ctor.arg_types]):
             if t.__class__ is Var and t.name not in seen:
-                for ctor in self.constructors:  # name the first offending argument's
+                for ctor in self.constructors:  # report the first offending argument
                     for ty in ctor.arg_types:
                         if type_vars(ty) - seen:
                             raise ValueError(
