@@ -2,11 +2,12 @@
 """Compare two checkouts on one benchmark workload in alternating pairs of runs.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload emit --pairs 10 --seed 8201 \\
-        [--seconds 25] [--trace 0|1] [--json NAME]
+        [--trace 0|1] [--json NAME]
 
-Pair k runs `perfbench/run.py --seed SEED+k` once in each checkout, the
-parent first in even pairs and the change first in odd ones, so that a
-drift in the host's speed falls on both sides alike. For each metric
+Pair k runs `perfbench/run.py --seed SEED+k` once in each checkout, for
+the `run_seconds` that BENCHMARK.json sets, the parent first in even pairs
+and the change first in odd ones, so that a drift in the host's speed
+falls on both sides alike. For each metric
 (the end-to-end ones, or the per-layer ones with `--trace 1`) it prints
 each side's median and quartiles, the pairs the change won (ties count
 for neither side), and the change of the medians, relative to the
@@ -94,12 +95,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, help="per run (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--json", metavar="NAME", help="also write .perfbench/NAME.json")
     args = ap.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = bench["per_layer"] if args.trace else bench["end_to_end"]
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}

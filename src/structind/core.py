@@ -142,15 +142,14 @@ class DataDecl:
         repeated = [n for n, k in Counter(c.name for c in self.constructors).items() if k > 1]
         if repeated:
             raise ValueError(f"duplicate constructor {repeated[0]!r}")
-        for t in _type_nodes([ty for ctor in self.constructors for ty in ctor.arg_types]):
-            if t.__class__ is Var and t.name not in seen:
-                for ctor in self.constructors:  # report the first offending argument
-                    for ty in ctor.arg_types:
-                        if type_vars(ty) - seen:
-                            raise ValueError(
-                                f"type variable {min(type_vars(ty) - seen)!r} in constructor "
-                                f"{ctor.name} is not a parameter of {self.type_name}"
-                            )
+        args = [(ctor, ty) for ctor in self.constructors for ty in ctor.arg_types]
+        if any(type(t) is Var and t.name not in seen for t in _type_nodes([a for _, a in args])):
+            # Name the least loose variable of the first offending argument.
+            ctor, loose = next((c, type_vars(ty) - seen) for c, ty in args if type_vars(ty) - seen)
+            raise ValueError(
+                f"type variable {min(loose)!r} in constructor "
+                f"{ctor.name} is not a parameter of {self.type_name}"
+            )
 
 
 # --- terms ---------------------------------------------------------------------

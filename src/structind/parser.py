@@ -208,12 +208,10 @@ class _Parser(_Reader):
     # --- types ---
 
     def atypes(self, type_name: str | None = None) -> tuple[TypeExpr, ...]:
-        """The atypes from here up to the first token that starts none. With
-        `type_name`, these are a constructor's arguments, and one that reads
-        a loose variable is an error at its start."""
+        """The atypes up to the first token that starts none. With `type_name`, they are
+        a constructor's arguments, and one that reads a loose variable is an error at its start."""
         kinds, words, scope = self.kinds, self.words, self.scope
-        args = []
-        i = self.i
+        args, i = [], self.i
         while True:
             kind = kinds[i]
             if kind == "upper":
@@ -245,9 +243,7 @@ class _Parser(_Reader):
         while self.kinds[self.i] == ",":
             self.i += 1
             elems.append(self.type_())
-        if self.kinds[self.i] != ")":
-            self.fail("expected ')'", ("')'",))
-        self.i += 1
+        self.expect(")", "')'")
         if len(elems) == 1:
             return elems[0]
         return TupleType(tuple(elems))
@@ -266,8 +262,7 @@ class _Parser(_Reader):
         return ty
 
     def btype(self) -> TypeExpr:
-        i = self.i
-        kind = self.kinds[i]
+        i, kind = self.i, self.kinds[self.i]
         if kind == "upper":
             self.i += 1
             return App(self.words[i], self.atypes())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .core import (
     And,
@@ -52,34 +53,37 @@ class _Style:
     bottom: str
     truth: str
     sep: str
-    # The LaTeX form of each name written so far in one render_latex call;
-    # None for plain text, which writes names as they are.
-    idents: dict[str, str] | None
+    subscripts: bool
 
 
-_TEXT = _Style("∀", " ∧ ", " ⇒ ", " → ", "\U0001d539", "⊥", "⊤", " ", None)
-_LATEX = (  # render_latex adds a fresh dict of names
-    "\\forall ", " \\wedge ", " \\Rightarrow ", " \\rightarrow ",
-    "{\\mathbb{B}}", "\\bot", "\\top", "\\; ",
+_TEXT = _Style("∀", " ∧ ", " ⇒ ", " → ", "\U0001d539", "⊥", "⊤", " ", False)
+_LATEX = _Style(
+    "\\forall ",
+    " \\wedge ",
+    " \\Rightarrow ",
+    " \\rightarrow ",
+    "{\\mathbb{B}}",
+    "\\bot",
+    "\\top",
+    "\\; ",
+    True,
 )
 
 _TRAILING_DIGITS = re.compile(r"(.+?)(\d+)$")
 
 
 def _ident(name: str, st: _Style) -> str:
-    if st.idents is None:
+    if not st.subscripts:
         return name
-    latex = st.idents.get(name)
-    if latex is None:
-        # "_" is escaped first, so that the only bare "_" opens the subscript
-        # of trailing digits.
-        latex = name.replace("_", "\\_")
-        m = _TRAILING_DIGITS.match(latex) if latex[-1:].isdigit() else None
-        if m:
-            stem, digits = m.groups()
-            latex = f"{stem}_{digits}" if len(digits) == 1 else f"{stem}_{{{digits}}}"
-        st.idents[name] = latex
-    return latex
+    # Escape "_" first, so that only the trailing digits' subscript has a bare "_".
+    name = name.replace("_", "\\_")
+    m = _TRAILING_DIGITS.match(name) if name[-1:].isdigit() else None
+    if not m:
+        return name
+    stem, digits = m.groups()
+    if len(digits) == 1:
+        return f"{stem}_{digits}"
+    return f"{stem}_{{{digits}}}"
 
 
 def _term(t: Term, st: _Style, ren: dict[str, str]) -> str:
@@ -176,7 +180,7 @@ def render_text(f: Formula) -> str:
 
 
 def render_latex(f: Formula) -> str:
-    return _formula(f, _Style(*_LATEX, {}), True, frozenset(), {})
+    return _formula(f, _LATEX, True, frozenset(), {})
 
 
 # --- declaration source ---------------------------------------------------------
@@ -291,15 +295,10 @@ _NOT_ATOM = ("(", ")", "")
 # forms up to three deep per level (an arrow, an application, a tuple), so
 # this admits every type the generator can write; terms it writes are shallow.
 MAX_SEXPR_NESTING = 3 * MAX_TYPE_NESTING
-# What `_SxParser.form` reads: (var class, app class, noun, what a var form
-# names, what an app form names).
-_TYPE = (Var, App, "type", "a type variable", "a type constructor")
-_TERM = (TVar, TApp, "term", "a term variable", "a constructor name")
 
 
 class _SxParser(_Reader):
-    """Each method reads from token `self.i` on, through locals, and leaves
-    `self.i` after what it read."""
+    """Each method reads from token `self.i` on and leaves `self.i` after what it read."""
 
     pattern, comment = _SX_TOKEN, ";"
 
@@ -354,14 +353,12 @@ class _SxParser(_Reader):
                 if words[i] in _NOT_ATOM:
                     self.fail_at(i, "expected a predicate name")
                 self.i = i + 1
-                f: Formula = PredApp(words[i], self.form(_TERM))
+                f: Formula = PredApp(words[i], self.term())
                 i = self.i
             elif tag == "true":
                 f = Truth()
-            elif tag in _NOT_ATOM:
-                self.fail_at(i - 1, "expected a formula form")
             else:
-                raise ParseError(self.pos(i - 1), f"unknown formula form {tag!r}")
+                self.bad_form(i - 1, "formula")
             while True:  # close the forms that `f` completes
                 if words[i] != ")":
                     self.fail_at(i, "expected ')'")
@@ -379,64 +376,77 @@ class _SxParser(_Reader):
                     f = Forall(form[0], form[1], f)
 
     def sort(self) -> Sort:
-        words, i = self.words, self.i
-        if words[i] != "(":
-            self.fail_at(i, "expected '('")
-        tag, self.i = words[i + 1], i + 2
+        tag = self.open_form()
         if tag == "kind-star":
             sort: Sort = OF_KIND_STAR
         elif tag == "ty" or tag == "pred-over":
-            sort = OfType(self.form(_TYPE)) if tag == "ty" else PredOver(self.form(_TYPE))
-        elif tag in _NOT_ATOM:
-            self.fail_at(i + 1, "expected a sort form")
+            sort = OfType(self.type_()) if tag == "ty" else PredOver(self.type_())
         else:
-            raise ParseError(self.pos(i + 1), f"unknown sort form {tag!r}")
+            self.bad_form(self.i - 1, "sort")
         self.close_()
         return sort
 
-    def form(self, kind: tuple, depth: int = 0):
-        """A type or a term, as `kind` says, nested `depth` forms deep."""
-        var, app, noun, var_names, app_names = kind
+    def bad_form(self, index: int, noun: str) -> NoReturn:
+        """Refuse token `index`, where the tag of a `noun` form should stand."""
+        tag = self.words[index]
+        if tag in _NOT_ATOM:
+            self.fail_at(index, f"expected a {noun} form")
+        raise ParseError(self.pos(index), f"unknown {noun} form {tag!r}")
+
+    def open_form(self, depth: int = 0) -> str:
+        """Read the "(" and the tag of a form inside `depth` type or term forms."""
         words, i = self.words, self.i
         if words[i] != "(":
             self.fail_at(i, "expected '('")
         if depth == MAX_SEXPR_NESTING:
-            raise ParseError(
-                self.pos(i), f"type or term nested more than {MAX_SEXPR_NESTING} levels deep"
-            )
-        tag = words[i + 1]
-        if tag == "var" or tag == "app":
-            name = words[i + 2]
-            if name in _NOT_ATOM:
-                self.fail_at(i + 2, f"expected {var_names if tag == 'var' else app_names}")
-            i += 3
-            args = []
-            while tag == "app" and words[i] == "(":
-                self.i = i
-                args.append(self.form(kind, depth + 1))
-                i = self.i
-            if words[i] != ")":
-                self.fail_at(i, "expected ')'")
-            self.i = i + 1
-            return var(name) if tag == "var" else app(name, tuple(args))
+            raise ParseError(self.pos(i), f"type or term nested more than {depth} levels deep")
         self.i = i + 2
-        if tag == "bottom" and var is TVar:
-            out = BOTTOM
-        elif tag == "arrow" and var is Var:
-            out = Arrow(self.form(kind, depth + 1), self.form(kind, depth + 1))
-        elif tag == "tuple" and var is Var:
-            elems = []
-            while words[self.i] == "(":
-                elems.append(self.form(kind, depth + 1))
+        return words[i + 1]
+
+    def named(self, tag: str, var_what: str, app_what: str, read, depth: int) -> tuple[str, tuple]:
+        """The rest of a `var` or `app` form: its name, and an `app`'s arguments via `read`."""
+        words, i = self.words, self.i
+        name = words[i]
+        if name in _NOT_ATOM:
+            self.fail_at(i, f"expected {var_what if tag == 'var' else app_what}")
+        args, i = [], i + 1
+        while tag == "app" and words[i] == "(":
+            self.i = i
+            args.append(read(depth + 1))
+            i = self.i
+        if words[i] != ")":
+            self.fail_at(i, "expected ')'")
+        self.i = i + 1
+        return name, tuple(args)
+
+    def type_(self, depth: int = 0) -> TypeExpr:
+        tag = self.open_form(depth)
+        if tag == "var" or tag == "app":
+            name, args = self.named(tag, "a type variable", "a type constructor", self.type_, depth)
+            return Var(name) if tag == "var" else App(name, args)
+        if tag == "arrow":
+            ty: TypeExpr = Arrow(self.type_(depth + 1), self.type_(depth + 1))
+        elif tag == "tuple":
+            tag_at, elems = self.i - 1, []
+            while self.words[self.i] == "(":
+                elems.append(self.type_(depth + 1))
             if len(elems) < 2:
-                raise ParseError(self.pos(i + 1), "tuple type needs at least two components")
-            out = TupleType(tuple(elems))
-        elif tag in _NOT_ATOM:
-            self.fail_at(i + 1, f"expected a {noun} form")
+                raise ParseError(self.pos(tag_at), "tuple type needs at least two components")
+            ty = TupleType(tuple(elems))
         else:
-            raise ParseError(self.pos(i + 1), f"unknown {noun} form {tag!r}")
+            self.bad_form(self.i - 1, "type")
         self.close_()
-        return out
+        return ty
+
+    def term(self, depth: int = 0) -> Term:
+        tag = self.open_form(depth)
+        if tag == "var" or tag == "app":
+            name, args = self.named(tag, "a term variable", "a constructor name", self.term, depth)
+            return TVar(name) if tag == "var" else TApp(name, args)
+        if tag != "bottom":
+            self.bad_form(self.i - 1, "term")
+        self.close_()
+        return BOTTOM
 
 
 def parse_sexpr(text: str) -> Formula:
