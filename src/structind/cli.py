@@ -16,6 +16,7 @@ from .render import render_latex, render_sexpr, render_text, type_source
 from .semantics import (
     DEFAULT_SEED,
     EXHAUSTIVE_LIMIT,
+    SAMPLED_LIMIT,
     Exhaustive,
     GroundEnv,
     Sampled,
@@ -25,12 +26,6 @@ from .semantics import (
     format_ground_term,
     universe_size,
 )
-
-# A sampled check keeps the universe's keys, their position dict and one
-# sampled predicate in memory: about 160 B per term, 170 B while they are
-# built (tracemalloc on universes of 260,000-460,000 terms), so a million
-# terms is under 200 MB.
-_MAX_UNIVERSE = 1_000_000
 
 _RENDERERS = {"text": render_text, "latex": render_latex, "sexpr": render_sexpr}
 _COMMENT = {"text": "--", "latex": "%", "sexpr": ";"}
@@ -128,10 +123,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.check:
             env = GroundEnv.default_for(decl)
             try:
-                size = universe_size(decl, env, args.depth, opts.pointed, _MAX_UNIVERSE)
-                if size > _MAX_UNIVERSE:
+                size = universe_size(decl, env, args.depth, opts.pointed, SAMPLED_LIMIT)
+                if size > SAMPLED_LIMIT:
                     raise UnsupportedTypeError(
-                        f"universe of more than {_MAX_UNIVERSE} terms at depth {args.depth}"
+                        f"universe of more than {SAMPLED_LIMIT} terms at depth {args.depth}"
                     )
             except UnsupportedTypeError as e:
                 print(

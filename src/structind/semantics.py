@@ -12,8 +12,12 @@ the universe is closed under immediate subterms, which makes the
 relativized induction scheme valid. A reported counterexample, the first
 failing predicate (as the terms it holds of) with the first term it
 misses, therefore always indicates a generator bug. The check itself
-works on hash-consed keys (`_intern`) and builds the `Node` terms only
-for a counterexample.
+works on hash-consed keys (`_layers`) and builds the `Node` terms only
+for a counterexample. The universe's size and the end of each depth layer
+are counted first (`_layer_ends`); an exhaustive check then builds every
+key, while a sampled one builds a layer only when a lookup first reaches
+it or a counterexample needs the whole universe; a lookup of a key above
+the depth bound builds them all.
 
 The enumerable fragment covers constructor arguments that are type
 parameters (carrier atoms) or applications headed by the declared type
@@ -26,10 +30,11 @@ parameter named there.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from math import inf, prod
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import (
     And,
@@ -53,6 +58,14 @@ from .render import type_source
 
 DEFAULT_SEED = 271828
 EXHAUSTIVE_LIMIT = 20
+# A sampled check that builds its whole universe, because a lookup
+# reached the last layer or a counterexample is reported, keeps the keys,
+# their position dict and one sampled predicate in memory: about 160 B per
+# term, 170 B while they are built (tracemalloc on universes of
+# 260,000-460,000 terms), so a million terms is under 200 MB. That is
+# the worst case: a check whose lookups stay in the first layers keeps
+# only those.
+SAMPLED_LIMIT = 1_000_000
 
 
 class UnsupportedTypeError(Exception):
@@ -199,23 +212,36 @@ def universe_size(
     building a term; raises exactly as enumerate_terms does. Counting stops
     at the first depth whose total passes `limit`, so a result above it
     means only "more than `limit`" (the exact count can have billions of
-    digits at a large depth).
+    digits at a large depth)."""
+    return _layer_ends(_argument_slots(decl, env, depth_bound), depth_bound, pointed, limit)[-1]
+
+
+def _layer_ends(
+    ctors: list[tuple[str, list[Optional[list[Atom]]]]],
+    depth_bound: int,
+    pointed: bool,
+    limit: float = inf,
+) -> list[int]:
+    """S[1], S[2], ...: the number of terms of depth at most d, which is
+    where layer d ends in enumerate_terms' order. The list stops at the
+    depth bound, after the first empty layer, or at the first total that
+    passes `limit`.
 
     A constructor with k recursive arguments and A atom combinations adds
-    A * (S[d-1]**k - S[d-2]**k) terms to layer d >= 2, where S[d] counts
-    the terms of depth at most d; with k = 0 it adds A terms to layer 1.
+    A * (S[d-1]**k - S[d-2]**k) terms to layer d >= 2; with k = 0 it adds
+    A terms to layer 1.
     """
     shapes = [
         (prod(len(atoms) for atoms in slots if atoms is not None), slots.count(None))
-        for _, slots in _argument_slots(decl, env, depth_bound)
+        for _, slots in ctors
     ]
     older, total = 0, int(pointed) + sum(a for a, k in shapes if k == 0)
-    for _ in range(2, depth_bound + 1):
-        # An empty layer has no deeper terms above it.
-        if total == older or total > limit:
-            break
+    ends = [total]
+    # An empty layer has no deeper terms above it.
+    while len(ends) < depth_bound and older < total <= limit:
         older, total = total, total + sum(a * (total**k - older**k) for a, k in shapes if k)
-    return total
+        ends.append(total)
+    return ends
 
 
 def enumerate_terms(
@@ -228,7 +254,7 @@ def enumerate_terms(
     position. Depth counts constructor nesting only: atoms and the bottom
     term have depth 1, and a node is one deeper than its deepest child of
     the declared type. Each layer is built in `itertools.product` blocks
-    (see `_intern`), so a type whose constructors have at most one
+    (see `_layers`), so a type whose constructors have at most one
     recursive argument costs time linear in the depth besides its terms.
     """
     ctors = _argument_slots(decl, env, depth_bound)
@@ -238,7 +264,17 @@ def enumerate_terms(
 def _intern(
     ctors: list[tuple[str, list[Optional[list[Atom]]]]], depth_bound: int, pointed: bool
 ) -> list[tuple]:
-    """The universe as hash-consed keys, in enumerate_terms' order: `()` is
+    """The whole universe as keys, built by `_layers`."""
+    for keys in _layers(ctors, depth_bound, pointed):
+        pass
+    return keys
+
+
+def _layers(
+    ctors: list[tuple[str, list[Optional[list[Atom]]]]], depth_bound: int, pointed: bool
+) -> Iterator[list[tuple]]:
+    """Builds the universe as hash-consed keys, in enumerate_terms' order,
+    and yields the one growing key list after each depth layer. `()` is
     the bottom term, and a node is `(ctor, *args)` with each recursive
     argument the child's universe position and each parameter argument
     the atom's label. Keys hold only str and int, so hashing one runs no
@@ -259,6 +295,7 @@ def _intern(
     for name, slots in shapes:
         if None not in slots:
             keys.extend(product((name,), *slots))
+    yield keys
     start = 0  # keys[start:] is the newest layer
     for _ in range(2, depth_bound + 1):
         end = len(keys)
@@ -282,7 +319,7 @@ def _intern(
                     if None in slots[i + 1 :]:  # not the last recursive argument
                         stack.extend((prefix + (c,), i + 1) for c in reversed(old))
         start = end
-    return keys
+        yield keys
 
 
 def _materialize(
@@ -317,17 +354,69 @@ def _materialize(
 
 
 class _RelativizedChecker:
-    """Evaluates one principle over a fixed universe of keys, one predicate
-    at a time. Term variables of the declared type range over universe
-    positions, and those of a parameter over its carrier's labels."""
+    """Evaluates one principle over a universe of keys, one predicate at a
+    time. Term variables of the declared type range over universe
+    positions, and those of a parameter over its carrier's labels.
 
-    def __init__(self, decl: DataDecl, env: GroundEnv, keys: list[tuple], formula: Formula):
+    `ends` holds where each depth layer of the universe ends (see
+    `_layer_ends`), so its size and the layer of any position are known
+    before a key is built. Unless `lazy`, `layers` is run to the end at
+    once and a lookup is `position.get`. If `lazy`, only layer 1 is built
+    at the start, and a lookup that misses builds the layers up to its
+    key's own: one deeper than its deepest child. A key above the depth
+    bound builds them all, as does a counterexample, and from then on a
+    miss is a plain None."""
+
+    def __init__(
+        self,
+        decl: DataDecl,
+        env: GroundEnv,
+        layers: Iterator[list[tuple]],
+        ends: list[int],
+        formula: Formula,
+        lazy: bool,
+    ):
         self.decl = decl
-        self.size = len(keys)
-        self.position = dict(zip(keys, range(self.size)))
+        self.layers, self.ends, self.size = layers, ends, ends[-1]
+        self.keys: list[tuple] = []
+        self.position: dict[tuple, int] = {}
+        self.built = 0  # layers built
+        self.lookup = self._reach
+        self._build(1 if lazy else inf)
         self.labels = {p: env.carrier(p) for p in decl.type_params}
         self.pred_name, self.conjunct_formulas = self._split(formula)
         self.mask = 0
+
+    def _build(self, depth: float) -> None:
+        """Build the layers above the built ones up to `depth`, or all of
+        them if there are fewer."""
+        start = len(self.keys)
+        for self.keys in self.layers:
+            self.built += 1
+            if self.built >= depth:
+                break
+        else:
+            self.lookup = self.position.get
+        self.position.update(zip(self.keys[start:], range(start, len(self.keys))))
+
+    def _reach(self, key: tuple) -> Optional[int]:
+        """The lazy lookup: on a miss, build up to the key's layer and retry."""
+        i = self.position.get(key)
+        if i is None:
+            deepest = max([a for a in key if type(a) is int], default=-1)
+            if deepest >= 0:  # otherwise the key's layer is the first, which is built
+                # Position p lies in layer bisect_right(ends, p) + 1, and the
+                # key one layer deeper; past the last layer, all get built.
+                depth = bisect_right(self.ends, deepest) + 2
+                if depth > self.built:
+                    self._build(depth)
+                    i = self.position.get(key)
+        return i
+
+    def universe_keys(self) -> list[tuple]:
+        """All of the universe's keys, building what is not built yet."""
+        self._build(inf)
+        return self.keys
 
     def _split(self, formula: Formula) -> tuple[str, list[Formula]]:
         f = formula
@@ -413,8 +502,8 @@ class _RelativizedChecker:
             except KeyError:
                 raise ValueError(f"unbound term variable {term.name!r} in clause") from None
         if isinstance(term, TApp):
-            return self.position.get((term.ctor, *[self._ground(a, assign) for a in term.args]))
-        return self.position.get(())
+            return self.lookup((term.ctor, *[self._ground(a, assign) for a in term.args]))
+        return self.lookup(())
 
 
 @dataclass(frozen=True)
@@ -435,30 +524,31 @@ def check_principle(
 ) -> SoundnessReport:
     """Check one principle; the counterexample, if any, is the first one found."""
     decl = principle.decl
-    if isinstance(mode, Exhaustive):
-        size = universe_size(decl, env, depth_bound, principle.pointed, EXHAUSTIVE_LIMIT)
-        if size > EXHAUSTIVE_LIMIT:
-            raise ValueError(
-                f"universe of more than {EXHAUSTIVE_LIMIT} terms is too large to check "
-                "exhaustively; use sampled mode"
-            )
     ctors = _argument_slots(decl, env, depth_bound)
-    keys = _intern(ctors, depth_bound, principle.pointed)
-    checker = _RelativizedChecker(decl, env, keys, principle.formula)
-    n = len(keys)
     if isinstance(mode, Exhaustive):
-        masks: Iterable[int] = range(1 << n)
+        limit, refusal = EXHAUSTIVE_LIMIT, "too large to check exhaustively; use sampled mode"
     elif isinstance(mode, Sampled):
-        rng = random.Random(mode.seed)
-        masks = (rng.getrandbits(n) if n else 0 for _ in range(mode.count))
+        limit, refusal = SAMPLED_LIMIT, "too large to check"
     else:
         raise TypeError(f"not a checking mode: {mode!r}")
+    ends = _layer_ends(ctors, depth_bound, principle.pointed, limit)
+    n = ends[-1]
+    if n > limit:
+        raise ValueError(f"universe of more than {limit} terms is {refusal}")
+    layers = _layers(ctors, depth_bound, principle.pointed)
+    sampled = isinstance(mode, Sampled)
+    checker = _RelativizedChecker(decl, env, layers, ends, principle.formula, lazy=sampled)
+    if sampled:
+        rng = random.Random(mode.seed)
+        masks: Iterable[int] = (rng.getrandbits(n) if n else 0 for _ in range(mode.count))
+    else:
+        masks = range(1 << n)
     checked = 0
     for mask in masks:
         checked += 1
         missed = checker.counterexample(mask)
         if missed is not None:
-            universe = _materialize(keys, ctors)
+            universe = _materialize(checker.universe_keys(), ctors)
             witness = (tuple(t for i, t in enumerate(universe) if mask >> i & 1), universe[missed])
             return SoundnessReport(decl.type_name, n, checked, mode, witness)
     return SoundnessReport(decl.type_name, n, checked, mode, None)

@@ -112,25 +112,25 @@ class TestCheck:
 
         monkeypatch.setattr(semantics, "enumerate_terms", fail)
         monkeypatch.setattr(semantics, "_intern", fail)
+        monkeypatch.setattr(semantics, "_layers", fail)
         monkeypatch.setattr(cli, "enumerate_terms", fail)
         path = tmp_path / "btree.hs"
         path.write_text(corpus.BTREE, encoding="utf-8")
         assert cli.main(["--check", "--depth", "6", str(path)]) == 0
         captured = capsys.readouterr()
-        reason = f"universe of more than {cli._MAX_UNIVERSE} terms at depth 6"
+        reason = f"universe of more than {semantics.SAMPLED_LIMIT} terms at depth 6"
         assert captured.err == f"warning: skipping soundness check for BTree: {reason}\n"
         assert captured.out.endswith(f"-- BTree: skipped ({reason})\n")
 
     def test_a_deep_unary_type_is_built_in_linear_work(self, monkeypatch, capsys):
-        # Each layer of `N` holds one term. Building the universe is bounded
-        # by the number of lines of `semantics` that run while `_intern`
-        # builds it, at most 100 a layer, rather than by wall-clock time,
-        # which a loaded host can break; a build that walks every older term
-        # in each layer passes that count within a few thousand layers and
-        # stops there.
+        # Each layer of `N` holds one term. Building the whole universe is
+        # bounded by the number of lines of `semantics` that run while the
+        # layer builder builds it, at most 100 a layer, rather than by
+        # wall-clock time, which a loaded host can break; a build that walks
+        # every older term in each layer passes that count within a few
+        # thousand layers and stops there.
         depth = 100_000
         lines = 0
-        sizes = []
 
         def count_lines(frame, event, arg):
             nonlocal lines
@@ -143,29 +143,23 @@ class TestCheck:
         def trace_semantics(frame, event, arg):
             return count_lines if frame.f_code.co_filename == semantics.__file__ else None
 
-        intern = semantics._intern
-
-        def counted_intern(*args):
-            tracer = sys.gettrace()
-            sys.settrace(trace_semantics)
-            try:
-                keys = intern(*args)
-            finally:
-                sys.settrace(tracer)
-            sizes.append(len(keys))
-            return keys
-
-        monkeypatch.setattr(semantics, "_intern", counted_intern)
+        nat = parse_decl("data N = Z | S N")
+        ctors = semantics._argument_slots(nat, semantics.GroundEnv({}), depth)
+        tracer = sys.gettrace()
+        sys.settrace(trace_semantics)
+        try:
+            keys = semantics._intern(ctors, depth, False)
+        finally:
+            sys.settrace(tracer)
+        assert len(keys) == semantics.universe_size(nat, semantics.GroundEnv({}), depth) == depth
         monkeypatch.setattr(sys, "stdin", io.StringIO("data N = Z | S N"))
         assert cli.main(["--check", "--depth", str(depth)]) == 0
         summary = f"-- N: pass (universe {depth}, sampled 200 predicates, seed 271828)\n"
         assert capsys.readouterr().out.endswith(summary)
-        nat = parse_decl("data N = Z | S N")
-        assert sizes == [semantics.universe_size(nat, semantics.GroundEnv({}), depth)] == [depth]
 
     @pytest.mark.parametrize("limit, checked", [(38, True), (37, False)])
     def test_universe_limit_is_inclusive(self, limit, checked, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_MAX_UNIVERSE", limit)
+        monkeypatch.setattr(cli, "SAMPLED_LIMIT", limit)
         monkeypatch.setattr(sys, "stdin", io.StringIO(corpus.BTREE))
         assert cli.main(["--check", "--depth", "3", "--samples", "5"]) == 0
         out = capsys.readouterr().out

@@ -21,6 +21,7 @@ from structind.parser import parse_decl
 from structind.semantics import (
     Atom,
     BottomTerm,
+    DEFAULT_SEED,
     EXHAUSTIVE_LIMIT,
     Exhaustive,
     GroundEnv,
@@ -241,6 +242,7 @@ class TestCountedUniverse:
 
         monkeypatch.setattr(semantics, "enumerate_terms", no_enumeration)
         monkeypatch.setattr(semantics, "_intern", no_enumeration)
+        monkeypatch.setattr(semantics, "_layers", no_enumeration)
         btree = parse_decl(corpus.BTREE)
         with pytest.raises(ValueError, match="universe of more than 20 terms is too large"):
             principle = induction_principle(btree, GenOptions())
@@ -252,6 +254,34 @@ class TestCountedUniverse:
         env = GroundEnv({"a": ("u", "v")})
         with pytest.raises(ValueError, match="universe of more than 20 terms is too large"):
             check_principle(induction_principle(btree, GenOptions()), env, 40, Exhaustive())
+
+    @pytest.mark.parametrize("depth", [6, 40])
+    def test_oversized_sampled_check_is_refused_before_building_or_drawing(
+        self, depth, monkeypatch
+    ):
+        # Two-atom BTree has 4,371,938,082,726 terms at depth 6, and the
+        # exact count at depth 40 has billions of digits.
+        def fail(*args):
+            raise AssertionError("the universe was built or a predicate drawn")
+
+        for name in ("enumerate_terms", "_intern", "_layers"):
+            monkeypatch.setattr(semantics, name, fail)
+        monkeypatch.setattr(semantics.random, "Random", fail)
+        principle = induction_principle(parse_decl(corpus.BTREE), GenOptions())
+        limit = semantics.SAMPLED_LIMIT
+        with pytest.raises(ValueError, match=f"universe of more than {limit} terms is too large"):
+            check_principle(principle, GroundEnv({"a": ("u", "v")}), depth, Sampled(200))
+
+    @pytest.mark.parametrize("limit, checked", [(1446, True), (1445, False)])
+    def test_sampled_limit_is_inclusive(self, limit, checked, monkeypatch):
+        monkeypatch.setattr(semantics, "SAMPLED_LIMIT", limit)
+        principle = induction_principle(parse_decl(corpus.BTREE), GenOptions())
+        env = GroundEnv({"a": ("u", "v")})
+        if checked:
+            assert check_principle(principle, env, 4, Sampled(5)).universe_size == limit
+        else:
+            with pytest.raises(ValueError, match="universe of more than 1445 terms"):
+                check_principle(principle, env, 4, Sampled(5))
 
 
 class TestNode:
@@ -507,6 +537,78 @@ class TestCheckerOracle:
                 mutants = principles[1:]
                 verdicts |= {check_principle(p, env, depth, Exhaustive()).passed for p in mutants}
         assert verdicts == {True, False}
+
+
+def corpus_size(name, depth, pointed):
+    decl = parse_decl(corpus.ALL[name])
+    return universe_size(decl, GroundEnv.default_for(decl), depth, pointed)
+
+
+# Sampled checks of every enumerable corpus declaration at depths 3 and 4,
+# pointed and not, up to pointed BTree at depth 4 (21,612 terms). Pointed
+# STree and SwapTree at depth 4 (81,610 terms) are left out: the oracle
+# builds a set of about half the universe for each predicate.
+ORACLE_LAZY = [
+    (name, depth, pointed)
+    for name, depth, pointed in ENUMERABLE
+    if depth >= 3 and corpus_size(name, depth, pointed) <= 25_000
+]
+
+
+class TestLazyUniverse:
+    """A sampled check builds the universe a layer at a time, as far as its
+    lookups reach; its reports must not show it."""
+
+    @pytest.mark.parametrize("name, depth, pointed", ORACLE_LAZY)
+    def test_reports_match_reference(self, name, depth, pointed):
+        env, principles = oracle_cases(name, depth, pointed)
+        for seed in (1, 2, 3):
+            mode = Sampled(8, seed)
+            for principle in principles:
+                report = check_principle(principle, env, depth, mode)
+                assert report == reference_check(principle, env, depth, mode)
+
+    @staticmethod
+    def layers_built(monkeypatch) -> list[int]:
+        """The universe's length after each layer the checks build."""
+        built = []
+        layers = semantics._layers
+
+        def counted(*args):
+            for keys in layers(*args):
+                built.append(len(keys))
+                yield keys
+
+        monkeypatch.setattr(semantics, "_layers", counted)
+        return built
+
+    def test_a_sampled_check_builds_only_the_layers_it_reaches(self, monkeypatch):
+        built = self.layers_built(monkeypatch)
+        btree = parse_decl(corpus.BTREE)
+        principle = induction_principle(btree, GenOptions(pointed=True))
+        env = GroundEnv({"a": ("u", "v")})
+        report = check_principle(principle, env, 4, Sampled(200, DEFAULT_SEED))
+        assert report.passed and report.universe_size == 21_612
+        # Layers 1-3 of 4: no lookup reached a child in layer 3.
+        assert built == [3, 12, 147]
+
+    def test_a_counterexample_builds_every_layer(self, monkeypatch):
+        built = self.layers_built(monkeypatch)
+        mutant = delete_clause(parse_decl(corpus.NAT), False, 1)
+        mode = Sampled(20, 1)
+        # Without the step clause every lookup lies in layer 1.
+        report = check_principle(mutant, NO_PARAMS, 4, mode)
+        assert built == [1, 2, 3, 4]
+        assert report == reference_check(mutant, NO_PARAMS, 4, mode)
+        # The witness names terms of the layers that no lookup reached.
+        predicate, missed = report.counterexample
+        assert Node("Z") in predicate and term_depth(missed) > 1
+
+    def test_an_exhaustive_check_builds_every_layer_at_once(self, monkeypatch):
+        built = self.layers_built(monkeypatch)
+        nat = parse_decl(corpus.NAT)
+        report = check_principle(induction_principle(nat, GenOptions()), NO_PARAMS, 4, Exhaustive())
+        assert report.passed and built == [1, 2, 3, 4]
 
 
 SWEEP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "soundness_sweep.py"
