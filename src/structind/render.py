@@ -109,7 +109,7 @@ def _type_ann(ty: TypeExpr, st: _Style) -> str:
         return "(" + ", ".join(_type_full(e, st) for e in ty.elems) + ")"
     if isinstance(ty, Arrow):
         return "(" + _type_full(ty, st) + ")"
-    raise ValueError("the kind * cannot appear inside a type")
+    raise TypeError(f"not a type: {ty!r}")
 
 
 def _type_full(ty: TypeExpr, st: _Style) -> str:
@@ -207,7 +207,7 @@ def _atype_source(ty: TypeExpr) -> str:
         return "(" + ", ".join(type_source(e) for e in ty.elems) + ")"
     if isinstance(ty, Arrow):
         return f"({type_source(ty)})"
-    raise ValueError("the kind * cannot appear inside a type")
+    raise TypeError(f"not a type: {ty!r}")
 
 
 def render_decl_source(decl: DataDecl) -> str:
@@ -272,7 +272,7 @@ def _sx_type(ty: TypeExpr) -> str:
         return "(" + " ".join(["tuple"] + [_sx_type(e) for e in ty.elems]) + ")"
     if isinstance(ty, Arrow):
         return f"(arrow {_sx_type(ty.domain)} {_sx_type(ty.codomain)})"
-    raise ValueError("the kind * cannot appear inside a type")
+    raise TypeError(f"not a type: {ty!r}")
 
 
 def _sx_term(t: Term) -> str:

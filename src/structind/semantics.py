@@ -13,11 +13,11 @@ relativized induction scheme valid. A reported counterexample, the first
 failing predicate (as the terms it holds of) with the first term it
 misses, therefore always indicates a generator bug. The check itself
 works on hash-consed keys (`_layers`) and builds the `Node` terms only
-for a counterexample. The universe's size and the end of each depth layer
-are counted first (`_layer_ends`); an exhaustive check then builds every
-key, while a sampled one builds a layer only when a lookup first reaches
-it or a counterexample needs the whole universe; a lookup of a key above
-the depth bound builds them all.
+for a counterexample. The universe's size is counted first
+(`_count_terms`), and its keys are built one depth layer at a time, on
+demand, in exhaustive and sampled checks alike: a lookup that misses
+builds the next layer and retries, until the key is found or no layer is
+left, and a counterexample builds whatever is still missing.
 
 The enumerable fragment covers constructor arguments that are type
 parameters (carrier atoms) or applications headed by the declared type
@@ -30,7 +30,6 @@ parameter named there.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from math import inf, prod
@@ -83,6 +82,10 @@ class Sampled:
 
     count: int
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError(f"sample count must be at least 1, not {self.count}")
 
 
 Mode = Exhaustive | Sampled
@@ -213,35 +216,33 @@ def universe_size(
     at the first depth whose total passes `limit`, so a result above it
     means only "more than `limit`" (the exact count can have billions of
     digits at a large depth)."""
-    return _layer_ends(_argument_slots(decl, env, depth_bound), depth_bound, pointed, limit)[-1]
+    return _count_terms(_argument_slots(decl, env, depth_bound), depth_bound, pointed, limit)
 
 
-def _layer_ends(
+def _count_terms(
     ctors: list[tuple[str, list[Optional[list[Atom]]]]],
     depth_bound: int,
     pointed: bool,
     limit: float = inf,
-) -> list[int]:
-    """S[1], S[2], ...: the number of terms of depth at most d, which is
-    where layer d ends in enumerate_terms' order. The list stops at the
-    depth bound, after the first empty layer, or at the first total that
-    passes `limit`.
+) -> int:
+    """The number of terms up to the depth bound, or the first total above
+    `limit` as counting goes deeper.
 
     A constructor with k recursive arguments and A atom combinations adds
-    A * (S[d-1]**k - S[d-2]**k) terms to layer d >= 2; with k = 0 it adds
-    A terms to layer 1.
+    A * (S[d-1]**k - S[d-2]**k) terms to layer d >= 2, where S[d] counts
+    the terms of depth at most d; with k = 0 it adds A terms to layer 1.
     """
     shapes = [
         (prod(len(atoms) for atoms in slots if atoms is not None), slots.count(None))
         for _, slots in ctors
     ]
     older, total = 0, int(pointed) + sum(a for a, k in shapes if k == 0)
-    ends = [total]
-    # An empty layer has no deeper terms above it.
-    while len(ends) < depth_bound and older < total <= limit:
+    for _ in range(2, depth_bound + 1):
+        # An empty layer has no deeper terms above it.
+        if total == older or total > limit:
+            break
         older, total = total, total + sum(a * (total**k - older**k) for a, k in shapes if k)
-        ends.append(total)
-    return ends
+    return total
 
 
 def enumerate_terms(
@@ -358,64 +359,48 @@ class _RelativizedChecker:
     time. Term variables of the declared type range over universe
     positions, and those of a parameter over its carrier's labels.
 
-    `ends` holds where each depth layer of the universe ends (see
-    `_layer_ends`), so its size and the layer of any position are known
-    before a key is built. Unless `lazy`, `layers` is run to the end at
-    once and a lookup is `position.get`. If `lazy`, only layer 1 is built
-    at the start, and a lookup that misses builds the layers up to its
-    key's own: one deeper than its deepest child. A key above the depth
-    bound builds them all, as does a counterexample, and from then on a
-    miss is a plain None."""
+    The universe has `size` terms, counted before any is built, so
+    quantifiers range over positions that may not be built yet. Its keys
+    come from `layers` one depth layer at a time: layer 1 at the start,
+    and the next one whenever a lookup misses, until the key turns up or
+    `layers` is used up (then None). A well-formed key lies one layer
+    deeper than its deepest child, so its lookup builds no further; a key
+    above the depth bound, or one the declaration cannot build, builds
+    every layer before it misses."""
 
     def __init__(
         self,
         decl: DataDecl,
         env: GroundEnv,
         layers: Iterator[list[tuple]],
-        ends: list[int],
+        size: int,
         formula: Formula,
-        lazy: bool,
     ):
         self.decl = decl
-        self.layers, self.ends, self.size = layers, ends, ends[-1]
+        self.layers: Optional[Iterator[list[tuple]]] = layers
+        self.size = size
         self.keys: list[tuple] = []
         self.position: dict[tuple, int] = {}
-        self.built = 0  # layers built
-        self.lookup = self._reach
-        self._build(1 if lazy else inf)
+        self._grow()
         self.labels = {p: env.carrier(p) for p in decl.type_params}
         self.pred_name, self.conjunct_formulas = self._split(formula)
         self.mask = 0
 
-    def _build(self, depth: float) -> None:
-        """Build the layers above the built ones up to `depth`, or all of
-        them if there are fewer."""
-        start = len(self.keys)
-        for self.keys in self.layers:
-            self.built += 1
-            if self.built >= depth:
-                break
-        else:
-            self.lookup = self.position.get
-        self.position.update(zip(self.keys[start:], range(start, len(self.keys))))
-
-    def _reach(self, key: tuple) -> Optional[int]:
-        """The lazy lookup: on a miss, build up to the key's layer and retry."""
-        i = self.position.get(key)
-        if i is None:
-            deepest = max([a for a in key if type(a) is int], default=-1)
-            if deepest >= 0:  # otherwise the key's layer is the first, which is built
-                # Position p lies in layer bisect_right(ends, p) + 1, and the
-                # key one layer deeper; past the last layer, all get built.
-                depth = bisect_right(self.ends, deepest) + 2
-                if depth > self.built:
-                    self._build(depth)
-                    i = self.position.get(key)
-        return i
+    def _grow(self) -> None:
+        """Build and index the next layer, or set `layers` to None once
+        every layer is built."""
+        keys = next(self.layers, None)
+        if keys is None:
+            self.layers = None
+            return
+        start = len(self.position)
+        self.position.update(zip(keys[start:], range(start, len(keys))))
+        self.keys = keys
 
     def universe_keys(self) -> list[tuple]:
         """All of the universe's keys, building what is not built yet."""
-        self._build(inf)
+        while self.layers is not None:
+            self._grow()
         return self.keys
 
     def _split(self, formula: Formula) -> tuple[str, list[Formula]]:
@@ -502,8 +487,14 @@ class _RelativizedChecker:
             except KeyError:
                 raise ValueError(f"unbound term variable {term.name!r} in clause") from None
         if isinstance(term, TApp):
-            return self.lookup((term.ctor, *[self._ground(a, assign) for a in term.args]))
-        return self.lookup(())
+            key = (term.ctor, *[self._ground(a, assign) for a in term.args])
+        else:
+            key = ()
+        i = self.position.get(key)
+        while i is None and self.layers is not None:
+            self._grow()
+            i = self.position.get(key)
+        return i
 
 
 @dataclass(frozen=True)
@@ -531,14 +522,12 @@ def check_principle(
         limit, refusal = SAMPLED_LIMIT, "too large to check"
     else:
         raise TypeError(f"not a checking mode: {mode!r}")
-    ends = _layer_ends(ctors, depth_bound, principle.pointed, limit)
-    n = ends[-1]
+    n = _count_terms(ctors, depth_bound, principle.pointed, limit)
     if n > limit:
         raise ValueError(f"universe of more than {limit} terms is {refusal}")
     layers = _layers(ctors, depth_bound, principle.pointed)
-    sampled = isinstance(mode, Sampled)
-    checker = _RelativizedChecker(decl, env, layers, ends, principle.formula, lazy=sampled)
-    if sampled:
+    checker = _RelativizedChecker(decl, env, layers, n, principle.formula)
+    if isinstance(mode, Sampled):
         rng = random.Random(mode.seed)
         masks: Iterable[int] = (rng.getrandbits(n) if n else 0 for _ in range(mode.count))
     else:

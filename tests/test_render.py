@@ -353,3 +353,20 @@ class TestDeclSource:
         assert type_source(Var("a")) == "a"
         assert type_source(App("List", (Var("a"),))) == "List a"
         assert type_source(Arrow(Arrow(Var("a"), Var("b")), Var("c"))) == "(a -> b) -> c"
+
+
+class TestNotAType:
+    """Where a type belongs, anything else is a TypeError that names it."""
+
+    SORT = OfType(App("Nat", ()))  # a sort, not a type
+
+    @pytest.mark.parametrize("render", [render_text, render_latex, render_sexpr])
+    @pytest.mark.parametrize("ty", [SORT, App("List", (SORT,)), TupleType((Var("a"), SORT))])
+    def test_in_a_binder_sort(self, render, ty):
+        with pytest.raises(TypeError, match=re.escape(f"not a type: {self.SORT!r}")):
+            render(Forall("x", OfType(ty), Truth()))
+
+    @pytest.mark.parametrize("ty", [SORT, App("List", (SORT,)), Arrow(Var("a"), SORT)])
+    def test_in_type_source(self, ty):
+        with pytest.raises(TypeError, match=re.escape(f"not a type: {self.SORT!r}")):
+            type_source(ty)

@@ -15,7 +15,18 @@ import strategies
 from reference_check import reference_check
 from reference_enum import reference_terms
 from structind import semantics
-from structind.core import Forall, OfType, PredApp, Principle, TApp, TVar, Var
+from structind.core import (
+    App,
+    Bottom,
+    Forall,
+    Implies,
+    OfType,
+    PredApp,
+    Principle,
+    TApp,
+    TVar,
+    Var,
+)
 from structind.generator import GenOptions, assemble, induction_principle
 from structind.parser import parse_decl
 from structind.semantics import (
@@ -396,6 +407,12 @@ class TestSoundness:
         assert first == second
         assert not first.passed
 
+    @pytest.mark.parametrize("count", [0, -4])
+    def test_a_sample_count_below_one_is_refused(self, count):
+        # Otherwise a check of no predicate would pass.
+        with pytest.raises(ValueError, match=f"sample count must be at least 1, not {count}"):
+            Sampled(count)
+
     def test_a_passing_check_builds_and_hashes_no_term(self, monkeypatch):
         def fail(self):
             raise AssertionError("a ground term was built or hashed")
@@ -556,8 +573,8 @@ ORACLE_LAZY = [
 
 
 class TestLazyUniverse:
-    """A sampled check builds the universe a layer at a time, as far as its
-    lookups reach; its reports must not show it."""
+    """A check builds the universe a layer at a time, as far as its lookups
+    reach; its reports must not show it."""
 
     @pytest.mark.parametrize("name, depth, pointed", ORACLE_LAZY)
     def test_reports_match_reference(self, name, depth, pointed):
@@ -604,11 +621,43 @@ class TestLazyUniverse:
         predicate, missed = report.counterexample
         assert Node("Z") in predicate and term_depth(missed) > 1
 
-    def test_an_exhaustive_check_builds_every_layer_at_once(self, monkeypatch):
+    def test_an_exhaustive_check_reaches_every_layer(self, monkeypatch):
         built = self.layers_built(monkeypatch)
         nat = parse_decl(corpus.NAT)
         report = check_principle(induction_principle(nat, GenOptions()), NO_PARAMS, 4, Exhaustive())
         assert report.passed and built == [1, 2, 3, 4]
+
+    # Clauses no generator writes for the unpointed Nat: one on a
+    # constructor T that Nat lacks, and P ⊥. No layer holds their keys.
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            Forall(
+                "n",
+                OfType(App("Nat", ())),
+                Implies(PredApp("P", TVar("n")), PredApp("P", TApp("T", (TVar("n"),)))),
+            ),
+            PredApp("P", Bottom()),
+        ],
+        ids=["unknown constructor", "bottom in an unpointed check"],
+    )
+    @pytest.mark.parametrize("depth, mode", [(3, Exhaustive()), (6, Sampled(20, 1))])
+    def test_a_key_in_no_layer_builds_every_layer(self, odd, depth, mode, monkeypatch):
+        built = self.layers_built(monkeypatch)
+        nat = parse_decl(corpus.NAT)
+        z, s = induction_principle(nat, GenOptions()).clauses
+        # The odd clause in place of the step clause, then before all clauses.
+        verdicts = []
+        for clauses in ([z, ("T", odd)], [("T", odd), z, s]):
+            formula = assemble(nat, False, [f for _, f in clauses])
+            principle = Principle(nat, False, formula, tuple(clauses))
+            built.clear()
+            report = check_principle(principle, NO_PARAMS, depth, mode)
+            assert built == list(range(1, depth + 1))
+            assert report == reference_check(principle, NO_PARAMS, depth, mode)
+            verdicts.append(report.passed)
+        # Every instance of the odd clause is skipped.
+        assert verdicts == [False, True]
 
 
 SWEEP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "soundness_sweep.py"
