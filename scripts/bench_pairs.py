@@ -12,7 +12,10 @@ falls on both sides alike. For each metric
 each side's median and quartiles, the pairs the change won (ties count
 for neither side), and the change of the medians, relative to the
 parent's and signed so that positive is worse, beside the metric's bound
-in BENCHMARK.json. Failed items are counted per side. `--json NAME`
+in BENCHMARK.json. Failed items are counted per side. Before the first
+pair, each checkout's sources are byte-compiled, so that neither side
+pays for compiling in its runs: a copy with new mtimes has stale caches,
+which every process would compile again when bytecode writing is off. `--json NAME`
 also writes the summary to `.perfbench/NAME.json` in the current
 directory. Standard library only.
 """
@@ -74,6 +77,15 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+def byte_compile(checkout: Path) -> None:
+    """Write fresh bytecode for the sources that `perfbench/run.py` imports."""
+    dirs = [d for d in ("src", "perfbench", "tests") if (checkout / d).is_dir()]
+    argv = [sys.executable, "-m", "compileall", "-q", *dirs]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"bench_pairs: {' '.join(argv)} in {checkout} failed:\n{done.stdout}")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
@@ -102,6 +114,8 @@ def main(argv: list[str] | None = None) -> int:
     seconds = bench["run_seconds"]
     metrics = bench["per_layer"] if args.trace else bench["end_to_end"]
 
+    byte_compile(args.parent)
+    byte_compile(args.change)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for k in range(args.pairs):
         seed = args.seed + k

@@ -93,17 +93,6 @@ def type_vars(ty: TypeExpr) -> set[str]:
     return {t.name for t in _type_nodes([ty]) if t.__class__ is Var}
 
 
-def mentions_type(ty: TypeExpr, name: str) -> bool:
-    """True when `name` occurs as an App head anywhere inside `ty`."""
-    if isinstance(ty, App):
-        return ty.head == name or any(mentions_type(a, name) for a in ty.args)
-    if isinstance(ty, TupleType):
-        return any(mentions_type(e, name) for e in ty.elems)
-    if isinstance(ty, Arrow):
-        return mentions_type(ty.domain, name) or mentions_type(ty.codomain, name)
-    return False
-
-
 # --- declarations -------------------------------------------------------------
 
 
@@ -150,6 +139,13 @@ class DataDecl:
                 f"type variable {min(loose)!r} in constructor "
                 f"{ctor.name} is not a parameter of {self.type_name}"
             )
+
+
+def _unchecked(cls, **fields):
+    """A `cls` built without its `__post_init__`, for a reader that made its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 # --- terms ---------------------------------------------------------------------

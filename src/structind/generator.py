@@ -37,7 +37,7 @@ from .core import (
     TVar,
     TypeExpr,
     Var,
-    mentions_type,
+    _type_nodes,
     ty_con,
 )
 
@@ -208,9 +208,19 @@ class NestedRecursionWarning:
 
 
 def nested_recursion_warnings(decl: DataDecl) -> list[NestedRecursionWarning]:
-    out = []
-    for ctor in decl.constructors:
-        for i, ty in enumerate(ctor.arg_types, start=1):
-            if not is_recursive_arg(decl, ty) and mentions_type(ty, decl.type_name):
-                out.append(NestedRecursionWarning(ctor.name, i, ty))
-    return out
+    name = decl.type_name
+    types = [ty for ctor in decl.constructors for ty in ctor.arg_types]
+    # One walk lists the arguments first and then every type below their
+    # heads; only a declaration whose type occurs there walks each argument.
+    if not _mentions(_type_nodes(types)[len(types) :], name):
+        return []
+    return [
+        NestedRecursionWarning(ctor.name, i, ty)
+        for ctor in decl.constructors
+        for i, ty in enumerate(ctor.arg_types, start=1)
+        if not is_recursive_arg(decl, ty) and _mentions(_type_nodes([ty]), name)
+    ]
+
+
+def _mentions(nodes: list[TypeExpr], name: str) -> bool:
+    return any(t.__class__ is App and t.head == name for t in nodes)

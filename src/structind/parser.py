@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
 
-from .core import App, Arrow, ConstructorDecl, DataDecl, TupleType, TypeExpr, Var
+from .core import App, Arrow, ConstructorDecl, DataDecl, TupleType, TypeExpr, Var, _unchecked
 
 
 @dataclass(frozen=True)
@@ -51,36 +50,30 @@ def position(text: str, offset: int) -> SourcePos:
 
 
 class _Reader:
-    """A cursor over the tokens that `pattern` finds in `text`.
-
-    The pattern skips blanks and comments, which start with `comment` and
-    run to the end of the line, then captures one token, or "" at the end
-    of input, in its only group; a token's index is also the index of its
-    match. Tokens are plain strings; a position is worked out from the
-    text only when an error needs one.
+    """A cursor over `words`, the tokens that `pattern` finds in `text`
+    without the comments, which start with `comment` and run to the end of
+    the line, and then "" for the end of input. Blanks match nothing, so
+    the scan steps over them. Tokens are plain strings; a position is
+    worked out from the text only when an error needs one.
     """
 
     pattern: re.Pattern[str]
     comment: str
 
-    def __init__(self, text: str):
-        self.text = text
-        self.words = self.pattern.findall(text)
-        if len(self.words) > 1 and not self.words[-2]:
-            self.words.pop()  # input that ends in blanks or a comment matches "" twice
-        self.i = 0
-
     def pos(self, index: int) -> SourcePos:
         """Where token `index` starts. The end of input after a last-line
         comment that no newline ends sits at the comment's start."""
-        m = next(islice(self.pattern.finditer(self.text), index, None))
-        offset = m.start(1)
-        if not m.group(1):
-            last_line = max(m.start(), self.text.rfind("\n") + 1)
-            comment = self.text.find(self.comment, last_line)
-            if comment >= 0:
-                offset = comment
-        return position(self.text, offset)
+        text, offset = self.text, len(self.text)
+        for m in self.pattern.finditer(text):
+            if m.group().startswith(self.comment):
+                if m.end() == len(text):
+                    offset = m.start()
+            elif index:
+                index -= 1
+            else:
+                offset = m.start()
+                break
+        return position(text, offset)
 
     def peek(self) -> str:
         return self.words[self.i]
@@ -95,10 +88,10 @@ class _Reader:
         self.fail(message)
 
 
-_TOKEN = re.compile(
-    r"(?:[ \t\r\n]|--[^\n]*)*"
-    r"(->|[=|(),!{}]|[^\W\d_][\w']*|[:#$%&*+./<>?@\\^~-]+|.|\Z)"
-)
+# One comment or token per match; "--" starts a comment unless an operator
+# run holds it, and a character that no longer token takes, blanks aside,
+# is a token alone.
+_TOKEN = re.compile(r"--[^\n]*|->|[=|(),!{}]|[^\W\d_][\w']*|[:#$%&*+./<>?@\\^~-]+|[^ \t\r\n]")
 _KINDS = {w: w for w in ("->", *"=|(),!{}", "data", "deriving")}
 _KINDS[""] = "eof"
 _OP_CHARS = frozenset(":#$%&*+./<>?@\\^~-")
@@ -127,9 +120,14 @@ class _Parser(_Reader):
     pattern, comment = _TOKEN, "--"
 
     def __init__(self, text: str):
-        super().__init__(text)
-        kinds = {w: _kind(w) for w in set(self.words)}
-        self.kinds = list(map(kinds.__getitem__, self.words))
+        self.text, self.i = text, 0
+        words = _TOKEN.findall(text)
+        if "--" in text:  # an operator token never starts with "--"
+            words = [w for w in words if w[:2] != "--"]
+        words.append("")
+        self.words = words
+        kinds = {w: _kind(w) for w in set(words)}
+        self.kinds = list(map(kinds.__getitem__, words))
         if "bad" in self.kinds:
             bad = self.kinds.index("bad")
             raise ParseError(self.pos(bad), f"unexpected character {self.words[bad][0]!r}")
@@ -180,12 +178,16 @@ class _Parser(_Reader):
             self.fail("unsupported feature: deriving clause")
         # Titlecase letters, and letters without case, lex as lowercase
         # names; DataDecl rejects them, so they are reported where it would.
+        # With that, the reader has made every check of DataDecl and
+        # ConstructorDecl, and builds both without repeating them.
         for k, p in enumerate(params):
             if not p[0].islower():
                 raise ParseError(
                     self.pos(first + k), f"type parameters must be lowercase names, found {p!r}"
                 )
-        return DataDecl(name, tuple(params), tuple(ctors))
+        return _unchecked(
+            DataDecl, type_name=name, type_params=tuple(params), constructors=tuple(ctors)
+        )
 
     def ctor(self, type_name: str, taken: set[str]) -> ConstructorDecl:
         if self.kinds[self.i] == "lower":
@@ -203,7 +205,7 @@ class _Parser(_Reader):
             if self.peek().startswith(":"):
                 self.fail("unsupported feature: infix constructor")
             self.fail("unexpected operator")
-        return ConstructorDecl(name, args)
+        return _unchecked(ConstructorDecl, name=name, arg_types=args)
 
     # --- types ---
 

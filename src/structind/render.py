@@ -76,7 +76,8 @@ def _ident(name: str, st: _Style) -> str:
     if not st.subscripts:
         return name
     # Escape "_" first, so that only the trailing digits' subscript has a bare "_".
-    name = name.replace("_", "\\_")
+    if "_" in name:
+        name = name.replace("_", "\\_")
     m = _TRAILING_DIGITS.match(name) if name[-1:].isdigit() else None
     if not m:
         return name
@@ -287,7 +288,7 @@ def _sx_term(t: Term) -> str:
 # --- s-expression parsing ------------------------------------------------------------
 
 
-_SX_TOKEN = re.compile(r"(?:[ \t\r\n]|;[^\n]*)*([()]|[^ \t\r\n();]+|\Z)")
+_SX_TOKEN = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
 _SX_COMMENT = re.compile(r";[^\n]*")
 _SX_SPACING = (("(", " ( "), (")", " ) "), ("\t", " "), ("\r", " "), ("\n", " "))
 _NOT_ATOM = ("(", ")", "")

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 import strategies
@@ -9,7 +10,10 @@ from reference_gen import reference_principle
 from structind.core import (
     And,
     App,
+    Arrow,
     Bottom,
+    ConstructorDecl,
+    DataDecl,
     Forall,
     Implies,
     OfType,
@@ -17,6 +21,7 @@ from structind.core import (
     Principle,
     TApp,
     TVar,
+    TupleType,
     Var,
     alpha_eq,
     free_vars,
@@ -216,6 +221,62 @@ class TestMindCheck:
         assert mind_check(principle) is True
 
 
+def _mentions_type(ty, name):
+    """The recursive definition: `name` heads an App somewhere inside `ty`."""
+    if isinstance(ty, App):
+        return ty.head == name or any(_mentions_type(a, name) for a in ty.args)
+    if isinstance(ty, TupleType):
+        return any(_mentions_type(e, name) for e in ty.elems)
+    if isinstance(ty, Arrow):
+        return _mentions_type(ty.domain, name) or _mentions_type(ty.codomain, name)
+    return False
+
+
+def _reference_warnings(decl):
+    """(constructor, position, type) of every argument that mentions the
+    declared type below a head that is not the declared type."""
+    return [
+        (ctor.name, i, ty)
+        for ctor in decl.constructors
+        for i, ty in enumerate(ctor.arg_types, start=1)
+        if not (isinstance(ty, App) and ty.head == decl.type_name)
+        and _mentions_type(ty, decl.type_name)
+    ]
+
+
+def _triples(warnings):
+    return [(w.constructor, w.position, w.arg_type) for w in warnings]
+
+
+_NESTED = [
+    "data Rose a = Rose a (List (Rose a))",
+    "data T a = A (T a, a) | B (a -> T a) | C (T (T a)) | D (List (a -> (Int, T a))) a",
+    "data U = U (U -> U) (U, U) U (Maybe Int) | V (Maybe (Maybe U))",
+]
+
+
+@st.composite
+def _nested_decls(draw):
+    """Declarations whose argument types mix tuples, arrows and applications,
+    with the declared type anywhere in them, at the head or below it."""
+    name = draw(strategies.upper_names())
+    params = draw(st.lists(strategies.lower_names(), max_size=2, unique=True))
+    heads = st.sampled_from([name, draw(strategies.upper_names())])
+    leaves = heads.map(App)
+    if params:
+        leaves |= st.sampled_from(params).map(Var)
+    types = st.recursive(
+        leaves,
+        lambda sub: st.builds(App, heads, st.lists(sub, min_size=1, max_size=2).map(tuple))
+        | st.lists(sub, min_size=2, max_size=3).map(lambda es: TupleType(tuple(es)))
+        | st.builds(Arrow, sub, sub),
+        max_leaves=6,
+    )
+    names = draw(st.lists(strategies.upper_names(), min_size=1, max_size=4, unique=True))
+    ctors = [ConstructorDecl(c, tuple(draw(st.lists(types, max_size=4)))) for c in names]
+    return DataDecl(name, tuple(params), tuple(ctors))
+
+
 class TestWarnings:
     def test_nested_recursion(self):
         decl = parse_decl("data Rose a = Rose a (List (Rose a))")
@@ -227,6 +288,16 @@ class TestWarnings:
     def test_plain_recursion_is_fine(self):
         for source in corpus.ALL.values():
             assert nested_recursion_warnings(parse_decl(source)) == []
+
+    @pytest.mark.parametrize("source", [*corpus.ALL.values(), *_NESTED])
+    def test_matches_the_recursive_definition(self, source):
+        decl = parse_decl(source)
+        assert _triples(nested_recursion_warnings(decl)) == _reference_warnings(decl)
+
+    @given(_nested_decls() | strategies.data_decls(max_ctors=4, max_arity=4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_recursive_definition_on_generated_declarations(self, decl):
+        assert _triples(nested_recursion_warnings(decl)) == _reference_warnings(decl)
 
 
 class TestConjoin:

@@ -131,6 +131,21 @@ def test_random_text_reads_the_same(text):
         "data Ärger ä = Ö ä | Ñ",
         "data T = Ωmega | ß",
         "data T ǅ = A",
+        "-->",
+        "a--b",
+        ":--:",
+        "->-",
+        "data T a = A (a ->- a)",
+        "data T = A B--B",
+        "--",
+        "\f",
+        "\v",
+        "\u00a0",
+        "data T = A\f",
+        "data T\v= A",
+        "data T =\u00a0A",
+        "x\u0663",
+        "data T x\u0663 = A x\u0663",
     ],
 )
 def test_declaration_edge_cases(text):

@@ -1,5 +1,10 @@
 """Declaration parsing: grammar coverage, positions, and error reporting."""
 
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,3 +216,63 @@ class TestProgram:
         sources = [corpus.NAT, corpus.LIST, corpus.BOOL]
         decls = parse_program("\n".join(sources))
         assert [d.type_name for d in decls] == ["Nat", "List", "Bool"]
+
+
+def _emit_sources(seed):
+    """The benchmark's emit declarations (`perfbench/inputs.py`) as source text."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(inputs)
+    return [inputs.decl_source(d) for d in inputs.emit_decls(seed)]
+
+
+def assert_rebuilds(decls):
+    """The parser builds declarations without their `__post_init__` checks;
+    each must equal itself rebuilt through them, which would raise
+    ValueError for a declaration they reject."""
+    for d in decls:
+        ctors = tuple(ConstructorDecl(c.name, c.arg_types) for c in d.constructors)
+        assert DataDecl(d.type_name, d.type_params, ctors) == d
+
+
+# Edits that reach the checks the parser makes in place of the constructors':
+# case, digits and marks in names, repeated names, and loose variables.
+_EDITS = [" ", "a", "b", "A", "B", "_", "'", "1", "\u01c5", "\u00aa", "\u00b2", "x", "|", "(", ")",
+          ",", "->", " a", " A", "| A", "| B a", "| Leaf", "| T", " (a, b)", " (a -> z)"]
+
+
+class TestParsedDeclarationsAreValid:
+    def test_corpus(self):
+        for source in corpus.ALL.values():
+            assert_rebuilds(parse_program(source))
+
+    def test_emit_declarations(self):
+        for seed in (1, 2):
+            assert_rebuilds(parse_program("".join(_emit_sources(seed))))
+
+    @given(st.lists(strategies.data_decls(), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_generated_declarations(self, decls):
+        unique = list({d.type_name: d for d in decls}.values())
+        assert_rebuilds(parse_program("\n".join(render_decl_source(d) for d in unique)))
+
+    def test_every_edit_that_parses(self):
+        rng = random.Random(20261019)
+        sources = [*corpus.ALL.values(), *_emit_sources(3)[:21], "data T a b = C a | D (b, a) b"]
+        parsed = 0
+        for _ in range(3000):
+            chars = list(rng.choice(sources))
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(len(chars) + 1)
+                if rng.random() < 0.5:
+                    chars.insert(k, rng.choice(_EDITS))
+                elif k < len(chars):
+                    chars[k] = rng.choice(_EDITS)
+            try:
+                decls = parse_program("".join(chars))
+            except ParseError:
+                continue
+            assert_rebuilds(decls)
+            parsed += 1
+        assert parsed > 500

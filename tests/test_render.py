@@ -4,6 +4,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 import strategies
@@ -26,6 +27,7 @@ from structind.core import (
     Var,
     free_vars,
 )
+from structind import render
 from structind.generator import GenOptions, induction_principle
 from structind.parser import MAX_TYPE_NESTING, ParseError, parse_decl
 from structind.render import (
@@ -97,6 +99,17 @@ class TestRenderText:
         assert render_text(formula).endswith("∀b00:b. (P b00)")
 
 
+def _regex_ident(name):
+    """A LaTeX name by definition: every "_" escaped, then trailing decimal
+    digits subscripted, braced when there are several."""
+    name = name.replace("_", "\\_")
+    m = re.match(r"(.+?)(\d+)\Z", name)
+    if not m:
+        return name
+    stem, digits = m.groups()
+    return f"{stem}_{digits}" if len(digits) == 1 else f"{stem}_{{{digits}}}"
+
+
 class TestRenderLatex:
     def test_bool_golden(self):
         assert render_latex(principle_for(corpus.BOOL).formula) == (
@@ -137,6 +150,19 @@ class TestRenderLatex:
         binders = re.findall(r"\\forall (\S+?):", latex)
         assert len(set(binders)) == len(binders) == 7
         assert parse_latex(latex) == formula
+
+    @pytest.mark.parametrize(
+        "name, latex",
+        [("x_1", "x\\__1"), ("x12", "x_{12}"), ("a\u0663", "a_\u0663"), ("t\u00b2", "t\u00b2"),
+         ("x", "x"), ("_", "\\_"), ("", ""), ("x1\n", "x1\n")],
+    )
+    def test_ident(self, name, latex):
+        assert render._ident(name, render._LATEX) == latex == _regex_ident(name)
+
+    @given(st.text(alphabet="aZ_'1\u0663\u00b2\n") | st.text())
+    @settings(max_examples=500, deadline=None)
+    def test_ident_matches_the_regex_definition(self, name):
+        assert render._ident(name, render._LATEX) == _regex_ident(name)
 
     def test_balanced_parens_and_braces(self):
         for source in corpus.ALL.values():
