@@ -34,7 +34,6 @@ from .core import (
     alpha_eq,
     free_vars,
     prefix_perm_eq,
-    ty_con,
 )
 from .generator import (
     GenOptions,

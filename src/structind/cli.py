@@ -16,7 +16,6 @@ from .render import render_latex, render_sexpr, render_text, type_source
 from .semantics import (
     DEFAULT_SEED,
     EXHAUSTIVE_LIMIT,
-    SAMPLED_LIMIT,
     Exhaustive,
     GroundEnv,
     Sampled,
@@ -123,11 +122,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.check:
             env = GroundEnv.default_for(decl)
             try:
-                size = universe_size(decl, env, args.depth, opts.pointed, SAMPLED_LIMIT)
-                if size > SAMPLED_LIMIT:
-                    raise UnsupportedTypeError(
-                        f"universe of more than {SAMPLED_LIMIT} terms at depth {args.depth}"
-                    )
+                # This count stops just past EXHAUSTIVE_LIMIT: it only picks the mode.
+                size = universe_size(decl, env, args.depth, opts.pointed, EXHAUSTIVE_LIMIT)
+                exhaustive = size <= EXHAUSTIVE_LIMIT
+                mode = Exhaustive() if exhaustive else Sampled(args.samples, args.seed)
+                report = check_principle(principle, env, args.depth, mode)
             except UnsupportedTypeError as e:
                 print(
                     f"warning: skipping soundness check for {decl.type_name}: {e}",
@@ -135,14 +134,10 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 summaries.append(f"{decl.type_name}: skipped ({e})")
                 continue
-            if size <= EXHAUSTIVE_LIMIT:
-                mode = Exhaustive()
-                how = f"exhaustive {1 << size} predicates"
-            else:
-                mode = Sampled(args.samples, args.seed)
-                how = f"sampled {args.samples} predicates, seed {args.seed}"
-            report = check_principle(principle, env, args.depth, mode)
+            size = report.universe_size
             if report.passed:
+                how = f"{report.predicates_checked} predicates"
+                how = f"exhaustive {how}" if exhaustive else f"sampled {how}, seed {args.seed}"
                 summaries.append(f"{decl.type_name}: pass (universe {size}, {how})")
             else:
                 predicate, failing = report.counterexample

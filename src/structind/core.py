@@ -69,13 +69,6 @@ class Arrow:
 TypeExpr = Var | App | TupleType | Arrow
 
 
-def ty_con(ty: TypeExpr) -> str | None:
-    """Head constructor name of an applied type, None for everything else."""
-    if isinstance(ty, App):
-        return ty.head
-    return None
-
-
 def _type_nodes(types: list) -> list:
     """Every node of the types, breadth first, without recursing."""
     nodes = list(types)

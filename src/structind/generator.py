@@ -38,7 +38,6 @@ from .core import (
     TypeExpr,
     Var,
     _type_nodes,
-    ty_con,
 )
 
 PRED_NAME = "P"
@@ -61,7 +60,7 @@ def induction_var(decl: DataDecl) -> str:
 
 def is_recursive_arg(decl: DataDecl, ty: TypeExpr) -> bool:
     """Recursion test: the argument's head type constructor is the declared type."""
-    return ty_con(ty) == decl.type_name
+    return isinstance(ty, App) and ty.head == decl.type_name
 
 
 def name_arguments(decl: DataDecl, ctor: ConstructorDecl) -> list[tuple[str, TypeExpr]]:
@@ -107,16 +106,16 @@ def conjuncts(f: Formula) -> list[Formula]:
     return out
 
 
-def constructor_clause(decl: DataDecl, ctor: ConstructorDecl, pred_name: str = PRED_NAME) -> Formula:
+def constructor_clause(decl: DataDecl, ctor: ConstructorDecl) -> Formula:
     _own(decl, ctor)
-    return _clause(decl, ctor, pred_name)
+    return _clause(decl, ctor)
 
 
-def _clause(decl: DataDecl, ctor: ConstructorDecl, pred_name: str) -> Formula:
+def _clause(decl: DataDecl, ctor: ConstructorDecl) -> Formula:
     named = _arguments(decl, ctor)
     terms = [TVar(var) for var, _, _ in named]
-    hypotheses = [PredApp(pred_name, t) for t, (_, _, rec) in zip(terms, named) if rec]
-    body: Formula = PredApp(pred_name, TApp(ctor.name, tuple(terms)))
+    hypotheses = [PredApp(PRED_NAME, t) for t, (_, _, rec) in zip(terms, named) if rec]
+    body: Formula = PredApp(PRED_NAME, TApp(ctor.name, tuple(terms)))
     if hypotheses:
         body = Implies(conjoin(hypotheses), body)
     for var, ty, _ in reversed(named):
@@ -140,7 +139,7 @@ def assemble(decl: DataDecl, pointed: bool, clause_formulas: list[Formula]) -> F
 
 
 def induction_principle(decl: DataDecl, opts: GenOptions = GenOptions()) -> Principle:
-    clauses = tuple((c.name, _clause(decl, c, PRED_NAME)) for c in decl.constructors)
+    clauses = tuple((c.name, _clause(decl, c)) for c in decl.constructors)
     formula = assemble(decl, opts.pointed, [f for _, f in clauses])
     return Principle(decl, opts.pointed, formula, clauses)
 

@@ -52,7 +52,7 @@ from .core import (
     Truth,
     Var,
 )
-from .generator import conjuncts
+from .generator import conjuncts, is_recursive_arg
 from .render import type_source
 
 DEFAULT_SEED = 271828
@@ -67,8 +67,9 @@ EXHAUSTIVE_LIMIT = 20
 SAMPLED_LIMIT = 1_000_000
 
 
-class UnsupportedTypeError(Exception):
-    """The declaration lies outside the fragment the oracle can enumerate."""
+class UnsupportedTypeError(ValueError):
+    """The declaration lies outside the fragment the oracle can enumerate,
+    or its universe is too large for the requested check."""
 
 
 @dataclass(frozen=True)
@@ -98,13 +99,9 @@ class GroundEnv:
     carriers: Mapping[str, tuple[str, ...]]
 
     @classmethod
-    def default_for(cls, decl: DataDecl, atoms_per_param: int = 2) -> "GroundEnv":
-        return cls(
-            {
-                p: tuple(f"{p}{i}" for i in range(1, atoms_per_param + 1))
-                for p in decl.type_params
-            }
-        )
+    def default_for(cls, decl: DataDecl) -> "GroundEnv":
+        """Two atoms, `p1` and `p2`, for each type parameter `p`."""
+        return cls({p: (f"{p}1", f"{p}2") for p in decl.type_params})
 
     def carrier(self, param: str) -> tuple[str, ...]:
         try:
@@ -192,9 +189,7 @@ def _argument_slots(
         raise ValueError("depth bound must be at least 1")
     for ctor in decl.constructors:
         for i, ty in enumerate(ctor.arg_types, start=1):
-            if isinstance(ty, Var):
-                continue
-            if isinstance(ty, App) and ty.head == decl.type_name:
+            if isinstance(ty, Var) or is_recursive_arg(decl, ty):
                 continue
             raise UnsupportedTypeError(
                 f"cannot enumerate argument {i} of constructor {ctor.name!r}: "
@@ -513,18 +508,22 @@ class SoundnessReport:
 def check_principle(
     principle: Principle, env: GroundEnv, depth_bound: int, mode: Mode
 ) -> SoundnessReport:
-    """Check one principle; the counterexample, if any, is the first one found."""
+    """Check one principle; the counterexample, if any, is the first one found.
+
+    Raises UnsupportedTypeError for a declaration outside the enumerable
+    fragment, and for a universe above the mode's limit, counted before
+    any term is built or any predicate drawn."""
     decl = principle.decl
     ctors = _argument_slots(decl, env, depth_bound)
     if isinstance(mode, Exhaustive):
-        limit, refusal = EXHAUSTIVE_LIMIT, "too large to check exhaustively; use sampled mode"
+        limit, refusal = EXHAUSTIVE_LIMIT, "is too large to check exhaustively; use sampled mode"
     elif isinstance(mode, Sampled):
-        limit, refusal = SAMPLED_LIMIT, "too large to check"
+        limit, refusal = SAMPLED_LIMIT, f"at depth {depth_bound}"
     else:
         raise TypeError(f"not a checking mode: {mode!r}")
     n = _count_terms(ctors, depth_bound, principle.pointed, limit)
     if n > limit:
-        raise ValueError(f"universe of more than {limit} terms is {refusal}")
+        raise UnsupportedTypeError(f"universe of more than {limit} terms {refusal}")
     layers = _layers(ctors, depth_bound, principle.pointed)
     checker = _RelativizedChecker(decl, env, layers, n, principle.formula)
     if isinstance(mode, Sampled):

@@ -159,7 +159,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("limit, checked", [(38, True), (37, False)])
     def test_universe_limit_is_inclusive(self, limit, checked, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "SAMPLED_LIMIT", limit)
+        monkeypatch.setattr(semantics, "SAMPLED_LIMIT", limit)
         monkeypatch.setattr(sys, "stdin", io.StringIO(corpus.BTREE))
         assert cli.main(["--check", "--depth", "3", "--samples", "5"]) == 0
         out = capsys.readouterr().out

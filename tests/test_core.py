@@ -35,9 +35,9 @@ from structind.core import (
     is_upper_name,
     prefix_perm_eq,
     subformulas,
-    ty_con,
     valid_name,
 )
+from structind.generator import is_recursive_arg
 
 NAT = App("Nat")
 
@@ -64,16 +64,25 @@ def nat_principle(step_var="n1", concl_var="n"):
 
 
 class TestTyCon:
+    """An argument is recursive exactly when its head type constructor is
+    the declared type."""
+
+    LIST = DataDecl("List", ("a",), (ConstructorDecl("Nil"),))
+
     def test_applied(self):
-        assert ty_con(App("List", (Var("a"),))) == "List"
+        assert is_recursive_arg(self.LIST, App("List", (Var("a"),)))
+        assert is_recursive_arg(self.LIST, App("List", (App("List", (Var("a"),)),)))
 
     def test_nullary(self):
-        assert ty_con(NAT) == "Nat"
+        assert is_recursive_arg(DataDecl("Nat", (), (ConstructorDecl("Z"),)), NAT)
+        assert not is_recursive_arg(self.LIST, NAT)
+        assert not is_recursive_arg(self.LIST, App("Maybe", (App("List", (Var("a"),)),)))
 
     def test_var_arrow_tuple(self):
-        assert ty_con(Var("a")) is None
-        assert ty_con(Arrow(Var("a"), Var("b"))) is None
-        assert ty_con(TupleType((Var("a"), Var("b")))) is None
+        own = App("List", (Var("a"),))
+        assert not is_recursive_arg(self.LIST, Var("a"))
+        assert not is_recursive_arg(self.LIST, Arrow(own, own))
+        assert not is_recursive_arg(self.LIST, TupleType((own, own)))
 
 
 class TestDeclValidation:

@@ -109,11 +109,6 @@ class TestConstructorClause:
         assert hyps == [PredApp("P", TVar("b1")), PredApp("P", TVar("b2"))]
         assert conclusion == PredApp("P", TApp("Fork", (TVar("b1"), TVar("b2"))))
 
-    def test_custom_predicate_name(self):
-        decl = parse_decl(corpus.NAT)
-        clause = constructor_clause(decl, decl.constructors[0], pred_name="Q")
-        assert clause == PredApp("Q", TApp("Z"))
-
 
 class TestInductionPrinciple:
     def test_differential_against_reference(self):

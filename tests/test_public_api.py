@@ -34,7 +34,6 @@ PUBLIC_NAMES = {
     "alpha_eq",
     "free_vars",
     "prefix_perm_eq",
-    "ty_con",
     # generator
     "GenOptions",
     "clause_parts",

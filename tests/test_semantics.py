@@ -153,7 +153,7 @@ class TestEnumeration:
     )
     @settings(max_examples=100, deadline=None)
     def test_closure_and_depth_properties(self, decl, depth):
-        env = GroundEnv.default_for(decl, atoms_per_param=1)
+        env = GroundEnv({p: (f"{p}1",) for p in decl.type_params})
         universe = enumerate_terms(decl, env, depth)
         members = set(universe)
         assert len(universe) == len(members)
@@ -279,9 +279,16 @@ class TestCountedUniverse:
             monkeypatch.setattr(semantics, name, fail)
         monkeypatch.setattr(semantics.random, "Random", fail)
         principle = induction_principle(parse_decl(corpus.BTREE), GenOptions())
-        limit = semantics.SAMPLED_LIMIT
-        with pytest.raises(ValueError, match=f"universe of more than {limit} terms is too large"):
+        reason = f"universe of more than {semantics.SAMPLED_LIMIT} terms at depth {depth}"
+        with pytest.raises(UnsupportedTypeError, match=reason):
             check_principle(principle, GroundEnv({"a": ("u", "v")}), depth, Sampled(200))
+
+    def test_the_sampled_refusal_is_a_value_error_in_the_cli_wording(self):
+        principle = induction_principle(parse_decl(corpus.BTREE), GenOptions())
+        with pytest.raises(ValueError) as refused:
+            check_principle(principle, GroundEnv({"a": ("u", "v")}), 7, Sampled(200))
+        assert refused.type is UnsupportedTypeError
+        assert str(refused.value) == "universe of more than 1000000 terms at depth 7"
 
     @pytest.mark.parametrize("limit, checked", [(1446, True), (1445, False)])
     def test_sampled_limit_is_inclusive(self, limit, checked, monkeypatch):
@@ -441,7 +448,7 @@ class TestSoundness:
     )
     @settings(max_examples=60, deadline=None)
     def test_generator_output_always_passes(self, decl, opts):
-        env = GroundEnv.default_for(decl, atoms_per_param=1)
+        env = GroundEnv({p: (f"{p}1",) for p in decl.type_params})
         # Back off the depth until the check is cheap enough to run.
         depth = 3
         universe = enumerate_terms(decl, env, depth, opts.pointed)
