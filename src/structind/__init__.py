@@ -38,10 +38,8 @@ from .core import (
 from .generator import (
     GenOptions,
     clause_parts,
-    constructor_clause,
     induction_principle,
     mind_check,
-    name_arguments,
     nested_recursion_warnings,
 )
 from .parser import ParseError, SourcePos, parse_decl, parse_program

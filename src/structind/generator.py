@@ -63,26 +63,6 @@ def is_recursive_arg(decl: DataDecl, ty: TypeExpr) -> bool:
     return isinstance(ty, App) and ty.head == decl.type_name
 
 
-def name_arguments(decl: DataDecl, ctor: ConstructorDecl) -> list[tuple[str, TypeExpr]]:
-    """Pair every constructor argument with its quantified variable name."""
-    _own(decl, ctor)
-    return [(var, ty) for var, ty, _ in _arguments(decl, ctor)]
-
-
-def _own(decl: DataDecl, ctor: ConstructorDecl) -> None:
-    if ctor not in decl.constructors:
-        raise ValueError(f"constructor {ctor.name!r} does not belong to {decl.type_name!r}")
-
-
-def _arguments(decl: DataDecl, ctor: ConstructorDecl) -> list[tuple[str, TypeExpr, bool]]:
-    """Each argument's variable name and type, and whether it is recursive."""
-    out = []
-    for i, ty in enumerate(ctor.arg_types, start=1):
-        recursive = is_recursive_arg(decl, ty)
-        out.append((f"{induction_var(decl) if recursive else _PLAIN_BASE}{i}", ty, recursive))
-    return out
-
-
 def conjoin(formulas: list[Formula]) -> Formula:
     """Right-nested conjunction of a nonempty list."""
     if not formulas:
@@ -106,20 +86,19 @@ def conjuncts(f: Formula) -> list[Formula]:
     return out
 
 
-def constructor_clause(decl: DataDecl, ctor: ConstructorDecl) -> Formula:
-    _own(decl, ctor)
-    return _clause(decl, ctor)
-
-
 def _clause(decl: DataDecl, ctor: ConstructorDecl) -> Formula:
-    named = _arguments(decl, ctor)
-    terms = [TVar(var) for var, _, _ in named]
-    hypotheses = [PredApp(PRED_NAME, t) for t, (_, _, rec) in zip(terms, named) if rec]
+    terms: list[TVar] = []
+    hypotheses: list[Formula] = []
+    for i, ty in enumerate(ctor.arg_types, start=1):
+        recursive = is_recursive_arg(decl, ty)
+        terms.append(TVar(f"{induction_var(decl) if recursive else _PLAIN_BASE}{i}"))
+        if recursive:
+            hypotheses.append(PredApp(PRED_NAME, terms[-1]))
     body: Formula = PredApp(PRED_NAME, TApp(ctor.name, tuple(terms)))
     if hypotheses:
         body = Implies(conjoin(hypotheses), body)
-    for var, ty, _ in reversed(named):
-        body = Forall(var, OfType(ty), body)
+    for t, ty in zip(reversed(terms), reversed(ctor.arg_types)):
+        body = Forall(t.name, OfType(ty), body)
     return body
 
 

@@ -37,7 +37,6 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import (
     And,
-    App,
     DataDecl,
     Forall,
     Formula,
@@ -182,9 +181,11 @@ def format_ground_term(t: GroundTerm) -> str:
 
 def _argument_slots(
     decl: DataDecl, env: GroundEnv, depth_bound: int
-) -> list[tuple[str, list[Optional[list[Atom]]]]]:
-    """Each constructor's name and, per argument, its carrier atoms or None
-    for a recursive position; raises as enumeration does on bad input."""
+) -> tuple[dict[str, tuple[str, ...]], list[tuple[str, list[Optional[tuple[str, ...]]]]]]:
+    """Each type parameter's carrier labels, and each constructor's name
+    with, per argument, its parameter's labels or None for a recursive
+    position; raises as enumeration does on bad input. This is the one
+    place that reads the carriers and classifies arguments."""
     if depth_bound < 1:
         raise ValueError("depth bound must be at least 1")
     for ctor in decl.constructors:
@@ -196,9 +197,9 @@ def _argument_slots(
                 f"type '{type_source(ty)}' is neither a type parameter nor "
                 f"an application of {decl.type_name!r}"
             )
-    atoms = {p: [Atom(label, p) for label in env.carrier(p)] for p in decl.type_params}
-    return [
-        (ctor.name, [atoms[ty.name] if isinstance(ty, Var) else None for ty in ctor.arg_types])
+    labels = {p: env.carrier(p) for p in decl.type_params}
+    return labels, [
+        (ctor.name, [labels[ty.name] if isinstance(ty, Var) else None for ty in ctor.arg_types])
         for ctor in decl.constructors
     ]
 
@@ -211,11 +212,11 @@ def universe_size(
     at the first depth whose total passes `limit`, so a result above it
     means only "more than `limit`" (the exact count can have billions of
     digits at a large depth)."""
-    return _count_terms(_argument_slots(decl, env, depth_bound), depth_bound, pointed, limit)
+    return _count_terms(_argument_slots(decl, env, depth_bound)[1], depth_bound, pointed, limit)
 
 
 def _count_terms(
-    ctors: list[tuple[str, list[Optional[list[Atom]]]]],
+    ctors: list[tuple[str, list[Optional[tuple[str, ...]]]]],
     depth_bound: int,
     pointed: bool,
     limit: float = inf,
@@ -228,7 +229,7 @@ def _count_terms(
     the terms of depth at most d; with k = 0 it adds A terms to layer 1.
     """
     shapes = [
-        (prod(len(atoms) for atoms in slots if atoms is not None), slots.count(None))
+        (prod(len(labels) for labels in slots if labels is not None), slots.count(None))
         for _, slots in ctors
     ]
     older, total = 0, int(pointed) + sum(a for a, k in shapes if k == 0)
@@ -253,21 +254,14 @@ def enumerate_terms(
     (see `_layers`), so a type whose constructors have at most one
     recursive argument costs time linear in the depth besides its terms.
     """
-    ctors = _argument_slots(decl, env, depth_bound)
-    return _materialize(_intern(ctors, depth_bound, pointed), ctors)
-
-
-def _intern(
-    ctors: list[tuple[str, list[Optional[list[Atom]]]]], depth_bound: int, pointed: bool
-) -> list[tuple]:
-    """The whole universe as keys, built by `_layers`."""
+    labels, ctors = _argument_slots(decl, env, depth_bound)
     for keys in _layers(ctors, depth_bound, pointed):
         pass
-    return keys
+    return _materialize(keys, decl, labels)
 
 
 def _layers(
-    ctors: list[tuple[str, list[Optional[list[Atom]]]]], depth_bound: int, pointed: bool
+    ctors: list[tuple[str, list[Optional[tuple[str, ...]]]]], depth_bound: int, pointed: bool
 ) -> Iterator[list[tuple]]:
     """Builds the universe as hash-consed keys, in enumerate_terms' order,
     and yields the one growing key list after each depth layer. `()` is
@@ -283,12 +277,8 @@ def _layers(
     argument drawn from `below` (= old + new) or its carrier, is built in
     C. Only prefixes that yield a block are visited, so a constructor
     with one recursive argument costs O(1) per layer besides its terms."""
-    shapes = [
-        (name, [None if atoms is None else [a.label for a in atoms] for atoms in slots])
-        for name, slots in ctors
-    ]
     keys: list[tuple] = [()] if pointed else []
-    for name, slots in shapes:
+    for name, slots in ctors:
         if None not in slots:
             keys.extend(product((name,), *slots))
     yield keys
@@ -299,7 +289,7 @@ def _layers(
             break
         # A tuple `new` is shared by every block; product() would copy a range.
         old, new, below = range(start), tuple(range(start, end)), range(end)
-        for name, slots in shapes:
+        for name, slots in ctors:
             if None not in slots:
                 continue
             stack = [((name,), 0)]  # (prefix, argument index); ~index marks a block
@@ -319,15 +309,12 @@ def _layers(
 
 
 def _materialize(
-    keys: list[tuple], ctors: list[tuple[str, list[Optional[list[Atom]]]]]
+    keys: list[tuple], decl: DataDecl, labels: Mapping[str, tuple[str, ...]]
 ) -> list[GroundTerm]:
-    """The terms the keys stand for, in the same order."""
-    atom_at = {
-        (name, i, a.label): a
-        for name, slots in ctors
-        for i, atoms in enumerate(slots)
-        for a in atoms or ()
-    }
+    """The terms the keys stand for, in the same order, with one `Atom`
+    per parameter and label."""
+    atoms = {p: {label: Atom(label, p) for label in carrier} for p, carrier in labels.items()}
+    arg_types = {ctor.name: ctor.arg_types for ctor in decl.constructors}
     terms: list[GroundTerm] = []
     for key in keys:
         if not key:
@@ -338,8 +325,8 @@ def _materialize(
             Node(
                 name,
                 tuple(
-                    atom_at[name, i, arg] if isinstance(arg, str) else terms[arg]
-                    for i, arg in enumerate(key[1:])
+                    terms[arg] if isinstance(arg, int) else atoms[ty.name][arg]
+                    for ty, arg in zip(arg_types[name], key[1:])
                 ),
             )
         )
@@ -366,7 +353,7 @@ class _RelativizedChecker:
     def __init__(
         self,
         decl: DataDecl,
-        env: GroundEnv,
+        labels: Mapping[str, tuple[str, ...]],
         layers: Iterator[list[tuple]],
         size: int,
         formula: Formula,
@@ -377,7 +364,7 @@ class _RelativizedChecker:
         self.keys: list[tuple] = []
         self.position: dict[tuple, int] = {}
         self._grow()
-        self.labels = {p: env.carrier(p) for p in decl.type_params}
+        self.labels = labels
         self.pred_name, self.conjunct_formulas = self._split(formula)
         self.mask = 0
 
@@ -412,8 +399,7 @@ class _RelativizedChecker:
         if not (
             isinstance(concl, Forall)
             and isinstance(concl.sort, OfType)
-            and isinstance(concl.sort.ty, App)
-            and concl.sort.ty.head == self.decl.type_name
+            and is_recursive_arg(self.decl, concl.sort.ty)
             and concl.body == PredApp(pred, TVar(concl.var))
         ):
             raise ValueError("conclusion does not quantify the declared type")
@@ -469,7 +455,7 @@ class _RelativizedChecker:
                     return self.labels[ty.name]
                 except KeyError:
                     raise ValueError(f"unbound type variable {ty.name!r} in clause") from None
-            if isinstance(ty, App) and ty.head == self.decl.type_name:
+            if is_recursive_arg(self.decl, ty):
                 return range(self.size)
         raise UnsupportedTypeError(f"cannot range over sort {sort!r}")
 
@@ -511,10 +497,11 @@ def check_principle(
     """Check one principle; the counterexample, if any, is the first one found.
 
     Raises UnsupportedTypeError for a declaration outside the enumerable
-    fragment, and for a universe above the mode's limit, counted before
-    any term is built or any predicate drawn."""
+    fragment, for a universe above the mode's limit, counted before any
+    term is built or any predicate drawn, and for a clause nested too
+    deeply for the recursive evaluator."""
     decl = principle.decl
-    ctors = _argument_slots(decl, env, depth_bound)
+    labels, ctors = _argument_slots(decl, env, depth_bound)
     if isinstance(mode, Exhaustive):
         limit, refusal = EXHAUSTIVE_LIMIT, "is too large to check exhaustively; use sampled mode"
     elif isinstance(mode, Sampled):
@@ -525,7 +512,7 @@ def check_principle(
     if n > limit:
         raise UnsupportedTypeError(f"universe of more than {limit} terms {refusal}")
     layers = _layers(ctors, depth_bound, principle.pointed)
-    checker = _RelativizedChecker(decl, env, layers, n, principle.formula)
+    checker = _RelativizedChecker(decl, labels, layers, n, principle.formula)
     if isinstance(mode, Sampled):
         rng = random.Random(mode.seed)
         masks: Iterable[int] = (rng.getrandbits(n) if n else 0 for _ in range(mode.count))
@@ -534,9 +521,13 @@ def check_principle(
     checked = 0
     for mask in masks:
         checked += 1
-        missed = checker.counterexample(mask)
+        try:
+            missed = checker.counterexample(mask)
+        except RecursionError:
+            # `_eval` recurses once per quantifier and conjunction of a clause.
+            raise UnsupportedTypeError("a clause nests too deeply to check") from None
         if missed is not None:
-            universe = _materialize(checker.universe_keys(), ctors)
+            universe = _materialize(checker.universe_keys(), decl, labels)
             witness = (tuple(t for i, t in enumerate(universe) if mask >> i & 1), universe[missed])
             return SoundnessReport(decl.type_name, n, checked, mode, witness)
     return SoundnessReport(decl.type_name, n, checked, mode, None)

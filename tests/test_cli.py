@@ -111,7 +111,6 @@ class TestCheck:
             raise AssertionError("the universe was built")
 
         monkeypatch.setattr(semantics, "enumerate_terms", fail)
-        monkeypatch.setattr(semantics, "_intern", fail)
         monkeypatch.setattr(semantics, "_layers", fail)
         monkeypatch.setattr(cli, "enumerate_terms", fail)
         path = tmp_path / "btree.hs"
@@ -144,11 +143,12 @@ class TestCheck:
             return count_lines if frame.f_code.co_filename == semantics.__file__ else None
 
         nat = parse_decl("data N = Z | S N")
-        ctors = semantics._argument_slots(nat, semantics.GroundEnv({}), depth)
+        _, ctors = semantics._argument_slots(nat, semantics.GroundEnv({}), depth)
         tracer = sys.gettrace()
         sys.settrace(trace_semantics)
         try:
-            keys = semantics._intern(ctors, depth, False)
+            for keys in semantics._layers(ctors, depth, False):
+                pass
         finally:
             sys.settrace(tracer)
         assert len(keys) == semantics.universe_size(nat, semantics.GroundEnv({}), depth) == depth
@@ -156,6 +156,43 @@ class TestCheck:
         assert cli.main(["--check", "--depth", str(depth)]) == 0
         summary = f"-- N: pass (universe {depth}, sampled 200 predicates, seed 271828)\n"
         assert capsys.readouterr().out.endswith(summary)
+
+    def test_a_check_reads_each_carrier_twice(self, monkeypatch, capsys):
+        # Once to count the universe and pick the mode, once to check.
+        reads = []
+        carrier = semantics.GroundEnv.carrier
+
+        def counted(env, param):
+            reads.append(param)
+            return carrier(env, param)
+
+        monkeypatch.setattr(semantics.GroundEnv, "carrier", counted)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(corpus.SWAPTREE))
+        assert cli.main(["--check", "--depth", "2"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "-- SwapTree: pass (universe 3, exhaustive 8 predicates)\n"
+        )
+        assert sorted(reads) == ["a", "a", "b", "b"]
+
+    @pytest.mark.parametrize(
+        "name, source",
+        [
+            ("T", "data T = L | N" + " T" * 1200),
+            ("Wide", "data Wide a = Leaf | Node" + " a (Wide a)" * 600),
+        ],
+    )
+    def test_a_clause_nested_too_deeply_is_skipped(self, name, source):
+        result = run_cli(["--check", "--depth", "1"], stdin=source)
+        assert result.returncode == 0
+        reason = "a clause nests too deeply to check"
+        assert result.stderr == f"warning: skipping soundness check for {name}: {reason}\n"
+        assert result.stdout.endswith(f"-- {name}: skipped ({reason})\n")
+
+    def test_a_wide_clause_within_the_recursion_limit_is_checked(self):
+        result = run_cli(["--check", "--depth", "1"], stdin="data T = L | N" + " T" * 400)
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert result.stdout.endswith("-- T: pass (universe 1, exhaustive 2 predicates)\n")
 
     @pytest.mark.parametrize("limit, checked", [(38, True), (37, False)])
     def test_universe_limit_is_inclusive(self, limit, checked, monkeypatch, capsys):

@@ -34,10 +34,8 @@ from structind.generator import (
     clause_parts,
     conjoin,
     conjuncts,
-    constructor_clause,
     induction_principle,
     mind_check,
-    name_arguments,
     nested_recursion_warnings,
 )
 from structind.parser import parse_decl
@@ -51,11 +49,20 @@ def principle_conjuncts(principle):
     return conjuncts(f.antecedent)
 
 
+def clause_of(decl, ctor):
+    return dict(induction_principle(decl).clauses)[ctor.name]
+
+
+def argument_names(decl, ctor):
+    binders, _, _ = clause_parts(clause_of(decl, ctor))
+    return [(var, sort.ty) for var, sort in binders]
+
+
 class TestNameArguments:
     def test_cons(self):
         decl = parse_decl(corpus.LIST)
         cons = decl.constructors[1]
-        assert name_arguments(decl, cons) == [
+        assert argument_names(decl, cons) == [
             ("x1", Var("a")),
             ("l2", App("List", (Var("a"),))),
         ]
@@ -63,33 +70,27 @@ class TestNameArguments:
     def test_snoc_joint_numbering(self):
         decl = parse_decl(corpus.TSIL)
         snoc = decl.constructors[0]
-        assert [v for v, _ in name_arguments(decl, snoc)] == ["t1", "x2"]
+        assert [v for v, _ in argument_names(decl, snoc)] == ["t1", "x2"]
 
     def test_fork(self):
         decl = parse_decl(corpus.BTREE)
         fork = decl.constructors[1]
-        assert [v for v, _ in name_arguments(decl, fork)] == ["b1", "b2"]
+        assert [v for v, _ in argument_names(decl, fork)] == ["b1", "b2"]
 
     def test_swapped_parameters_still_recursive(self):
         decl = parse_decl(corpus.SWAPTREE)
         node = decl.constructors[1]
-        assert [v for v, _ in name_arguments(decl, node)] == ["x1", "s2", "s3"]
-
-    def test_foreign_constructor_rejected(self):
-        nat = parse_decl(corpus.NAT)
-        cons = parse_decl(corpus.LIST).constructors[1]
-        with pytest.raises(ValueError):
-            name_arguments(nat, cons)
+        assert [v for v, _ in argument_names(decl, node)] == ["x1", "s2", "s3"]
 
 
 class TestConstructorClause:
     def test_nullary(self):
         decl = parse_decl(corpus.NAT)
-        assert constructor_clause(decl, decl.constructors[0]) == PredApp("P", TApp("Z"))
+        assert clause_of(decl, decl.constructors[0]) == PredApp("P", TApp("Z"))
 
     def test_step(self):
         decl = parse_decl(corpus.NAT)
-        clause = constructor_clause(decl, decl.constructors[1])
+        clause = clause_of(decl, decl.constructors[1])
         assert clause == Forall(
             "n1",
             OfType(App("Nat")),
@@ -98,14 +99,14 @@ class TestConstructorClause:
 
     def test_non_recursive_has_no_implication(self):
         decl = parse_decl(corpus.MAYBE)
-        clause = constructor_clause(decl, decl.constructors[1])
+        clause = clause_of(decl, decl.constructors[1])
         assert clause == Forall(
             "x1", OfType(Var("a")), PredApp("P", TApp("Just", (TVar("x1"),)))
         )
 
     def test_two_hypotheses_conjoined(self):
         decl = parse_decl(corpus.BTREE)
-        _, hyps, conclusion = clause_parts(constructor_clause(decl, decl.constructors[1]))
+        _, hyps, conclusion = clause_parts(clause_of(decl, decl.constructors[1]))
         assert hyps == [PredApp("P", TVar("b1")), PredApp("P", TVar("b2"))]
         assert conclusion == PredApp("P", TApp("Fork", (TVar("b1"), TVar("b2"))))
 

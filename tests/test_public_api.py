@@ -37,10 +37,8 @@ PUBLIC_NAMES = {
     # generator
     "GenOptions",
     "clause_parts",
-    "constructor_clause",
     "induction_principle",
     "mind_check",
-    "name_arguments",
     "nested_recursion_warnings",
     # parser
     "ParseError",

@@ -147,6 +147,35 @@ class TestEnumeration:
             enumerate_terms(fun, GroundEnv({"a": ("u",)}), 2)
 
     # Small shapes: depth-3 layers grow like |U|^arity per constructor.
+    @pytest.mark.parametrize("deleted", [None, 0])
+    def test_a_check_reads_each_carrier_once(self, deleted, monkeypatch):
+        reads = []
+        carrier = GroundEnv.carrier
+
+        def counted(env, param):
+            reads.append(param)
+            return carrier(env, param)
+
+        swap = parse_decl(corpus.SWAPTREE)
+        if deleted is None:
+            principle = induction_principle(swap, GenOptions())
+        else:
+            principle = delete_clause(swap, False, deleted)
+        env = GroundEnv.default_for(swap)
+        monkeypatch.setattr(GroundEnv, "carrier", counted)
+        report = check_principle(principle, env, 2, Exhaustive())
+        assert report.passed == (deleted is None)
+        assert sorted(reads) == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "source", ["data T = L | N" + " T" * 1200, "data Wide a = Leaf | Node" + " a (Wide a)" * 600]
+    )
+    def test_a_clause_nested_too_deeply_is_unsupported(self, source):
+        decl = parse_decl(source)
+        principle = induction_principle(decl, GenOptions())
+        with pytest.raises(UnsupportedTypeError, match="^a clause nests too deeply to check$"):
+            check_principle(principle, GroundEnv.default_for(decl), 1, Exhaustive())
+
     @given(
         strategies.data_decls(max_ctors=3, max_arity=2, supported_only=True),
         strategies.st_depths(),
@@ -244,7 +273,9 @@ class TestCountedUniverse:
 
     def test_a_constructor_of_1200_recursive_arguments(self):
         decl = parse_decl("data Wide = Leaf | Node" + " Wide" * 1200)
-        keys = semantics._intern(semantics._argument_slots(decl, NO_PARAMS, 2), 2, False)
+        _, ctors = semantics._argument_slots(decl, NO_PARAMS, 2)
+        for keys in semantics._layers(ctors, 2, False):
+            pass
         assert keys == [("Leaf",), ("Node", *[0] * 1200)]
 
     def test_oversized_exhaustive_check_is_refused_before_enumeration(self, monkeypatch):
@@ -252,7 +283,6 @@ class TestCountedUniverse:
             raise AssertionError("the universe was built")
 
         monkeypatch.setattr(semantics, "enumerate_terms", no_enumeration)
-        monkeypatch.setattr(semantics, "_intern", no_enumeration)
         monkeypatch.setattr(semantics, "_layers", no_enumeration)
         btree = parse_decl(corpus.BTREE)
         with pytest.raises(ValueError, match="universe of more than 20 terms is too large"):
@@ -275,7 +305,7 @@ class TestCountedUniverse:
         def fail(*args):
             raise AssertionError("the universe was built or a predicate drawn")
 
-        for name in ("enumerate_terms", "_intern", "_layers"):
+        for name in ("enumerate_terms", "_layers"):
             monkeypatch.setattr(semantics, name, fail)
         monkeypatch.setattr(semantics.random, "Random", fail)
         principle = induction_principle(parse_decl(corpus.BTREE), GenOptions())
