@@ -1,13 +1,15 @@
 """Command-line driver: parse declarations, print principles, optionally check them.
 
-Exit codes: 0 on success, 1 on parse or input errors, 2 when the
-soundness check finds a counterexample, 3 on bad flags.
+Exit codes: 0 on success, 1 on parse or input errors or output that
+cannot be written, 2 when the soundness check finds a counterexample, 3 on
+bad flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .generator import GenOptions, induction_principle, nested_recursion_warnings
@@ -70,12 +72,10 @@ def main(argv: list[str] | None = None) -> int:
         ap.print_usage(sys.stderr)
         print(f"structind: error: {e}", file=sys.stderr)
         return 3
-    if args.depth < 1:
-        print("structind: error: --depth must be at least 1", file=sys.stderr)
-        return 3
-    if args.samples < 1:
-        print("structind: error: --samples must be at least 1", file=sys.stderr)
-        return 3
+    for flag, value in (("--depth", args.depth), ("--samples", args.samples)):
+        if value < 1:
+            print(f"structind: error: {flag} must be at least 1", file=sys.stderr)
+            return 3
 
     sources: list[tuple[str, str]] = []
     name = "<stdin>"
@@ -151,17 +151,23 @@ def main(argv: list[str] | None = None) -> int:
     text_out = "\n".join(lines)
     if text_out and not text_out.endswith("\n"):
         text_out += "\n"
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text_out)
-        except OSError as e:
-            print(f"structind: error: {e}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text_out)
+        else:
+            sys.stdout.write(text_out)
+            sys.stdout.flush()
+    except OSError as e:
+        print(f"structind: error: {e}", file=sys.stderr)
+        return 1
     return exit_code
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    try:  # bytes a failed write left buffered would fail the flush at exit too
+        sys.stdout.flush()
+    except OSError:  # main() has reported it; write them to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -2,19 +2,25 @@
 
 Text and LaTeX share one layout: the top-level connective after the
 leading quantifier chain stays bare, nested conjunctions and implications
-parenthesize themselves, predicate and constructor applications are always
-parenthesized, and a quantifier body extends as far right as its context
-allows. A quantified antecedent of an implication is parenthesized, so
-that a one-constructor type's clause does not read as part of the
-leading chain. When a term or predicate binder shadows a type variable
-in scope, its displayed name gets "0" appended until it is distinct; the
-underlying AST is untouched, and the s-expression format never renames.
+parenthesize themselves, and predicate and constructor applications are
+always parenthesized. The leading quantifier chain scopes to the end of
+the formula; any other quantifier binds exactly the next self-delimiting
+group, so `(∀x1:a. (P (Leaf x1)) ∧ ∀b1:…)` is a conjunction of two
+quantified formulas. A quantified antecedent of an implication is
+parenthesized, so that a one-constructor type's clause does not read as
+part of the leading chain. When a term or predicate binder shadows a type
+variable in scope, its displayed name gets "0" appended until it is
+distinct; the underlying AST is untouched, and the s-expression format
+never renames.
+
+Declaration syntax shares the type printer: it is the text style with
+ASCII arrows, and an application outside argument position stays bare.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NoReturn
 
 from .core import (
@@ -54,6 +60,7 @@ class _Style:
     truth: str
     sep: str
     subscripts: bool
+    bare_apps: bool = False
 
 
 _TEXT = _Style("∀", " ∧ ", " ⇒ ", " → ", "\U0001d539", "⊥", "⊤", " ", False)
@@ -68,6 +75,7 @@ _LATEX = _Style(
     "\\; ",
     True,
 )
+_SOURCE = replace(_TEXT, arrow=" -> ", bare_apps=True)
 
 _TRAILING_DIGITS = re.compile(r"(.+?)(\d+)$")
 
@@ -117,6 +125,8 @@ def _type_full(ty: TypeExpr, st: _Style) -> str:
     if isinstance(ty, Arrow):
         dom = _type_full(ty.domain, st) if not isinstance(ty.domain, Arrow) else _type_ann(ty.domain, st)
         return f"{dom}{st.arrow}{_type_full(ty.codomain, st)}"
+    if st.bare_apps and isinstance(ty, App) and ty.args:
+        return st.sep.join([_ident(ty.head, st)] + [_type_ann(a, st) for a in ty.args])
     return _type_ann(ty, st)
 
 
@@ -189,26 +199,7 @@ def render_latex(f: Formula) -> str:
 
 def type_source(ty: TypeExpr) -> str:
     """A type in declaration syntax, parenthesized as little as possible."""
-    if isinstance(ty, Arrow):
-        dom = type_source(ty.domain) if not isinstance(ty.domain, Arrow) else f"({type_source(ty.domain)})"
-        return f"{dom} -> {type_source(ty.codomain)}"
-    if isinstance(ty, App) and ty.args:
-        return " ".join([ty.head] + [_atype_source(a) for a in ty.args])
-    return _atype_source(ty)
-
-
-def _atype_source(ty: TypeExpr) -> str:
-    if isinstance(ty, Var):
-        return ty.name
-    if isinstance(ty, App):
-        if not ty.args:
-            return ty.head
-        return f"({type_source(ty)})"
-    if isinstance(ty, TupleType):
-        return "(" + ", ".join(type_source(e) for e in ty.elems) + ")"
-    if isinstance(ty, Arrow):
-        return f"({type_source(ty)})"
-    raise TypeError(f"not a type: {ty!r}")
+    return _type_full(ty, _SOURCE)
 
 
 def render_decl_source(decl: DataDecl) -> str:
@@ -216,7 +207,7 @@ def render_decl_source(decl: DataDecl) -> str:
     head = " ".join(["data", decl.type_name, *decl.type_params])
     ctors = []
     for ctor in decl.constructors:
-        ctors.append(" ".join([ctor.name] + [_atype_source(t) for t in ctor.arg_types]))
+        ctors.append(" ".join([ctor.name] + [_type_ann(t, _SOURCE) for t in ctor.arg_types]))
     return f"{head} = " + " | ".join(ctors)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, mostly through subprocesses."""
 
 import io
+import os
 import subprocess
 import sys
 
@@ -306,7 +307,7 @@ class TestErrors:
     def test_nonpositive_numbers(self, flag, value):
         result = run_cli([flag, value], stdin=corpus.NAT)
         assert result.returncode == 3
-        assert "at least 1" in result.stderr
+        assert result.stderr == f"structind: error: {flag} must be at least 1\n"
 
     def test_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.hs"
@@ -323,6 +324,73 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("structind: error: <stdin>: not UTF-8 text")
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_failed_stdout_write(self, failing, monkeypatch, capsys):
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        stdout = io.StringIO()
+        monkeypatch.setattr(stdout, failing, fail)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(corpus.NAT))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main([]) == 1
+        assert capsys.readouterr().err == "structind: error: [Errno 28] No space left on device\n"
+
+    @staticmethod
+    def _env(buffered):
+        # With buffering the unwritten bytes outlive main() and the
+        # interpreter flushes them again at exit; PYTHONUNBUFFERED hides that.
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_stdout_to_a_full_device(self, buffered):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "structind"],
+                input=corpus.NAT,
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=self._env(buffered),
+            )
+        assert result.returncode == 1
+        assert result.stderr == "structind: error: [Errno 28] No space left on device\n"
+
+    # One declaration: the reader leaves before any write. 2,000: the output
+    # is far more than a pipe holds, and the reader takes one byte and
+    # leaves. Unbuffered, CPython drops a pipe's short write without an
+    # error, so that run would exit 0 with the output cut.
+    @pytest.mark.parametrize("buffered, count", [(True, 1), (False, 1), (True, 2000)])
+    def test_reader_closes_the_pipe(self, buffered, count):
+        source = "".join(f"data T{i} a = L{i} | N{i} a (T{i} a)\n" for i in range(count))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "structind"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self._env(buffered),
+        )
+        if count == 1:
+            proc.stdout.close()
+        proc.stdin.write(source.encode())
+        proc.stdin.close()
+        if count > 1:
+            assert proc.stdout.read(1) == b"-"
+            proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert err == "structind: error: [Errno 32] Broken pipe\n"
+
+    def test_unwritable_output_file(self, tmp_path):
+        result = run_cli(["--output", str(tmp_path)], stdin=corpus.NAT)
+        assert result.returncode == 1
+        assert result.stderr.startswith("structind: error: ")
 
     def test_empty_input_is_fine(self):
         result = run_cli([], stdin="")

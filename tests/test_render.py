@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+import reference_source
 import strategies
 from latex_reader import parse_latex
 from structind.core import (
@@ -49,6 +50,15 @@ ONE_CONSTRUCTOR = {
 }
 
 
+# Arrow and tuple argument types. The binder sort of C's third argument is
+# `(a → b → (T a b))`, while declaration syntax leaves the application bare:
+# the one place where the two print a type differently.
+ARROWS_AND_TUPLES = {
+    "Fun": "data T a b = C (a, b) (a -> b) (a -> b -> T a b) (T a b)",
+    "Higher": "data T a = C ((a -> a) -> a)",
+}
+
+
 def principle_for(source, pointed=False):
     return induction_principle(parse_decl(source), GenOptions(pointed=pointed))
 
@@ -81,6 +91,17 @@ class TestRenderText:
     def test_quantified_antecedent_is_parenthesized(self):
         assert render_text(principle_for(ONE_CONSTRUCTOR["Box"]).formula) == (
             "∀P:Box → \U0001d539. (∀b1:Box. ((P b1) ⇒ (P (Box b1)))) ⇒ ∀b:Box. (P b)"
+        )
+
+    def test_arrow_and_tuple_sorts(self):
+        assert render_text(principle_for(ARROWS_AND_TUPLES["Fun"]).formula) == (
+            "∀a:*. ∀b:*. ∀P:(T a b) → \U0001d539. (∀x1:(a, b). ∀x2:(a → b). "
+            "∀x3:(a → b → (T a b)). ∀t4:(T a b). ((P t4) ⇒ (P (C x1 x2 x3 t4)))) "
+            "⇒ ∀t:(T a b). (P t)"
+        )
+        assert render_text(principle_for(ARROWS_AND_TUPLES["Higher"]).formula) == (
+            "∀a:*. ∀P:(T a) → \U0001d539. (∀x1:((a → a) → a). (P (C x1))) "
+            "⇒ ∀t:(T a). (P t)"
         )
 
     def test_shadowed_conclusion_variable_gets_suffix(self):
@@ -135,9 +156,26 @@ class TestRenderLatex:
         latex = render_latex(principle_for(corpus.BOOL, pointed=True).formula)
         assert "(P\\; \\bot)" in latex
 
-    @pytest.mark.parametrize("name", sorted(corpus.ALL) + sorted(ONE_CONSTRUCTOR))
+    def test_arrow_and_tuple_sorts(self):
+        assert render_latex(principle_for(ARROWS_AND_TUPLES["Fun"]).formula) == (
+            "\\forall a:*. \\forall b:*. \\forall P:(T\\; a\\; b) \\rightarrow {\\mathbb{B}}. "
+            "(\\forall x_1:(a, b). \\forall x_2:(a \\rightarrow b). "
+            "\\forall x_3:(a \\rightarrow b \\rightarrow (T\\; a\\; b)). "
+            "\\forall t_4:(T\\; a\\; b). "
+            "((P\\; t_4) \\Rightarrow (P\\; (C\\; x_1\\; x_2\\; x_3\\; t_4)))) "
+            "\\Rightarrow \\forall t:(T\\; a\\; b). (P\\; t)"
+        )
+        assert render_latex(principle_for(ARROWS_AND_TUPLES["Higher"]).formula) == (
+            "\\forall a:*. \\forall P:(T\\; a) \\rightarrow {\\mathbb{B}}. "
+            "(\\forall x_1:((a \\rightarrow a) \\rightarrow a). (P\\; (C\\; x_1))) "
+            "\\Rightarrow \\forall t:(T\\; a). (P\\; t)"
+        )
+
+    SOURCES = {**corpus.ALL, **ONE_CONSTRUCTOR, **ARROWS_AND_TUPLES}
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
     def test_output_parses_back_to_the_same_formula(self, name):
-        formula = principle_for({**corpus.ALL, **ONE_CONSTRUCTOR}[name]).formula
+        formula = principle_for(self.SOURCES[name]).formula
         assert parse_latex(render_latex(formula)) == formula
 
     @pytest.mark.parametrize("pointed", [False, True])
@@ -373,12 +411,21 @@ class TestDeclSource:
     @given(strategies.data_decls())
     @settings(max_examples=300, deadline=None)
     def test_roundtrip(self, decl):
-        assert parse_decl(render_decl_source(decl)) == decl
+        source = render_decl_source(decl)
+        assert parse_decl(source) == decl
+        assert source == reference_source.render_decl_source(decl)
 
     def test_type_source_forms(self):
         assert type_source(Var("a")) == "a"
         assert type_source(App("List", (Var("a"),))) == "List a"
         assert type_source(Arrow(Arrow(Var("a"), Var("b")), Var("c"))) == "(a -> b) -> c"
+        fun = parse_decl(ARROWS_AND_TUPLES["Fun"]).constructors[0].arg_types[2]
+        assert type_source(fun) == "a -> b -> T a b"
+
+    @given(strategies.type_exprs())
+    @settings(max_examples=300, deadline=None)
+    def test_type_source_matches_the_reference(self, ty):
+        assert type_source(ty) == reference_source.type_source(ty)
 
 
 class TestNotAType:

@@ -22,9 +22,11 @@ from structind.core import (
     Implies,
     OfType,
     PredApp,
+    PredOver,
     Principle,
     TApp,
     TVar,
+    Truth,
     Var,
 )
 from structind.generator import GenOptions, assemble, induction_principle
@@ -471,6 +473,51 @@ class TestSoundness:
                 2,
                 Exhaustive(),
             )
+
+    NAT_TYPE = App("Nat", ())
+    CLAUSE = PredApp("P", TApp("Z", ()))
+    NO_BINDER = "formula lacks the predicate binder of a generated principle"
+    NO_CONCLUSION = "conclusion does not quantify the declared type"
+
+    @pytest.mark.parametrize(
+        "formula, message",
+        [
+            (Truth(), NO_BINDER),
+            (Forall("n", OfType(NAT_TYPE), PredApp("P", TVar("n"))), NO_BINDER),
+            (
+                Forall("P", PredOver(NAT_TYPE), CLAUSE),
+                "predicate binder body is not an implication",
+            ),
+            (Forall("P", PredOver(NAT_TYPE), Implies(CLAUSE, CLAUSE)), NO_CONCLUSION),
+            (
+                Forall(
+                    "P",
+                    PredOver(NAT_TYPE),
+                    Implies(CLAUSE, Forall("n", OfType(NAT_TYPE), PredApp("Q", TVar("n")))),
+                ),
+                NO_CONCLUSION,
+            ),
+            (
+                Forall(
+                    "P",
+                    PredOver(NAT_TYPE),
+                    Implies(CLAUSE, Forall("n", OfType(Var("a")), PredApp("P", TVar("n")))),
+                ),
+                NO_CONCLUSION,
+            ),
+        ],
+    )
+    def test_a_malformed_principle_is_refused(self, formula, message):
+        principle = Principle(parse_decl(corpus.NAT), False, formula, ())
+        with pytest.raises(ValueError) as refused:
+            check_principle(principle, NO_PARAMS, 2, Exhaustive())
+        assert str(refused.value) == message
+
+    def test_a_mode_that_is_not_a_checking_mode_is_refused(self):
+        principle = induction_principle(parse_decl(corpus.NAT), GenOptions())
+        with pytest.raises(TypeError) as refused:
+            check_principle(principle, NO_PARAMS, 2, None)
+        assert str(refused.value) == "not a checking mode: None"
 
     @given(
         strategies.data_decls(max_ctors=3, max_arity=2, supported_only=True),
