@@ -52,7 +52,6 @@ from .render import (
 )
 from .semantics import (
     Atom,
-    BottomTerm,
     DEFAULT_SEED,
     Exhaustive,
     GroundEnv,

@@ -156,12 +156,29 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text_out)
         else:
-            sys.stdout.write(text_out)
-            sys.stdout.flush()
+            _write_stdout(text_out)
     except OSError as e:
         print(f"structind: error: {e}", file=sys.stderr)
         return 1
     return exit_code
+
+
+def _write_stdout(text: str) -> None:
+    """Write `text` to stdout in full or raise. Unbuffered, stdout's text
+    layer writes straight to the raw file and drops the rest of a short
+    write, so the bytes go out through `stdout.buffer`, as often as it
+    takes, when the stream has one."""
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        out.write(text)
+        out.flush()
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[buffer.write(data) :]
+    buffer.flush()
 
 
 def run() -> None:

@@ -275,7 +275,7 @@ def free_vars(f: Formula) -> set[str]:
     """Free variables of a formula, across all three namespaces. What is
     still to visit waits on a stack, with the binders in scope there."""
     free: set[str] = set()
-    stack: list[tuple] = [(f, frozenset())]
+    stack: list[tuple] = [(f, set())]
     while stack:
         x, bound = stack.pop()
         if isinstance(x, TVar):
@@ -292,8 +292,12 @@ def free_vars(f: Formula) -> set[str]:
         elif isinstance(x, TApp):
             stack += ((y, bound) for y in x.args)
         elif isinstance(x, Forall):
-            free |= {a for a in _sort_type_vars(x.sort) if ("type", a) not in bound}
-            stack.append((x.body, bound | {(_binder_namespace(x.sort), x.var)}))
+            bound = set(bound)  # one copy for the whole chain of binders
+            while isinstance(x, Forall):
+                free.update(a for a in _sort_type_vars(x.sort) if ("type", a) not in bound)
+                bound.add((_binder_namespace(x.sort), x.var))
+                x = x.body
+            stack.append((x, bound))
         elif not isinstance(x, (Truth, Bottom)):
             raise TypeError(f"not a formula: {x!r}")
     return free
@@ -329,13 +333,16 @@ def _commute(outer: tuple, inner: tuple) -> bool:
 def _open(f: Forall, env: dict, binders: list[tuple]) -> tuple[dict, Formula]:
     """Number the chain of binders from `f` on in `binders`, each with the
     environment its sort is read in, and return the chain's environment and
-    body. Sorts read only type binders, so they share one environment until
-    a type binder binds in a copy."""
-    env = dict(env)
+    body. Sorts read only type binders, and a type binder's own sort reads
+    nothing, so the binders share one environment until a type binder binds
+    after a sort was read in it: that one binds in a copy."""
+    env, read = dict(env), False
     while f.__class__ is Forall:
         ns = _binder_namespace(f.sort)
-        if ns == "type":
-            env = dict(env)
+        if ns != "type":
+            read = True
+        elif read:
+            env, read = dict(env), False
         binders.append((f.var, f.sort, env))
         env[ns, f.var] = len(binders) - 1
         f = f.body

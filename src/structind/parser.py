@@ -162,9 +162,11 @@ class _Parser(_Reader):
         while self.kinds[self.i] == "lower":
             self.i += 1
         params = self.words[first : self.i]
+        seen: set[str] = set()
         for k, p in enumerate(params):
-            if p in params[:k]:
+            if p in seen:
                 raise ParseError(self.pos(first + k), f"duplicate type parameter {p!r}")
+            seen.add(p)
         if self.kinds[self.i] == "upper":
             self.fail("type parameters must be lowercase names")
         self.expect("=", "'='")

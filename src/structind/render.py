@@ -131,8 +131,6 @@ def _type_full(ty: TypeExpr, st: _Style) -> str:
 
 
 def _sort(s: Sort, st: _Style) -> str:
-    if isinstance(s, OfKindStar):
-        return "*"
     if isinstance(s, OfType):
         return _type_ann(s.ty, st)
     return f"{_type_ann(s.ty, st)}{st.arrow}{st.bool_sym}"
@@ -149,15 +147,21 @@ def _formula(
     out: list[str] = []
     opened = 0
     while True:
+        if isinstance(f, Forall) and isinstance(f.sort, OfKindStar):
+            # A run of type binders joins the scope in one copy.
+            run = []
+            while isinstance(f, Forall) and isinstance(f.sort, OfKindStar):
+                run.append(f.var)
+                out.append(f"{st.forall}{_ident(f.var, st)}:*. ")
+                f = f.body
+            tscope = tscope.union(run)
+            continue
         if isinstance(f, Forall):
             display = f.var
-            if isinstance(f.sort, OfKindStar):
-                tscope = tscope | {f.var}
-            else:
-                while display in tscope:
-                    display += "0"
-                if display != f.var:
-                    ren = {**ren, f.var: display}
+            while display in tscope:
+                display += "0"
+            if display != f.var:
+                ren = {**ren, f.var: display}
             out.append(f"{st.forall}{_ident(display, st)}:{_sort(f.sort, st)}. ")
             f = f.body
             continue

@@ -37,6 +37,8 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import (
     And,
+    BOTTOM,
+    Bottom,
     DataDecl,
     Forall,
     Formula,
@@ -119,10 +121,11 @@ class GroundEnv:
 
 @dataclass(frozen=True)
 class Atom:
-    """A carrier element sitting in a parameter position."""
+    """A carrier element: its label alone. The parameter position it sits
+    in says whose carrier it came from, so atoms of two parameters that
+    share a label are equal, as their keys are."""
 
     label: str
-    of_param: str
 
 
 @dataclass(frozen=True)
@@ -149,12 +152,8 @@ class Node:
         return Node, (self.ctor, self.children)
 
 
-@dataclass(frozen=True)
-class BottomTerm:
-    """The undefined value, present only in pointed universes."""
-
-
-GroundTerm = Atom | Node | BottomTerm
+# The undefined value, present only in pointed universes, is `core.BOTTOM`.
+GroundTerm = Atom | Node | Bottom
 
 
 def immediate_subterms(t: GroundTerm) -> list[GroundTerm]:
@@ -172,7 +171,7 @@ def term_depth(t: GroundTerm) -> int:
 def format_ground_term(t: GroundTerm) -> str:
     if isinstance(t, Atom):
         return t.label
-    if isinstance(t, BottomTerm):
+    if isinstance(t, Bottom):
         return "⊥"
     if not t.children:
         return t.ctor
@@ -254,10 +253,9 @@ def enumerate_terms(
     (see `_layers`), so a type whose constructors have at most one
     recursive argument costs time linear in the depth besides its terms.
     """
-    labels, ctors = _argument_slots(decl, env, depth_bound)
-    for keys in _layers(ctors, depth_bound, pointed):
+    for keys in _layers(_argument_slots(decl, env, depth_bound)[1], depth_bound, pointed):
         pass
-    return _materialize(keys, decl, labels)
+    return _materialize(keys)
 
 
 def _layers(
@@ -308,28 +306,12 @@ def _layers(
         yield keys
 
 
-def _materialize(
-    keys: list[tuple], decl: DataDecl, labels: Mapping[str, tuple[str, ...]]
-) -> list[GroundTerm]:
-    """The terms the keys stand for, in the same order, with one `Atom`
-    per parameter and label."""
-    atoms = {p: {label: Atom(label, p) for label in carrier} for p, carrier in labels.items()}
-    arg_types = {ctor.name: ctor.arg_types for ctor in decl.constructors}
+def _materialize(keys: list[tuple]) -> list[GroundTerm]:
+    """The terms the keys stand for, in the same order."""
     terms: list[GroundTerm] = []
     for key in keys:
-        if not key:
-            terms.append(BottomTerm())
-            continue
-        name = key[0]
-        terms.append(
-            Node(
-                name,
-                tuple(
-                    terms[arg] if isinstance(arg, int) else atoms[ty.name][arg]
-                    for ty, arg in zip(arg_types[name], key[1:])
-                ),
-            )
-        )
+        args = (terms[a] if isinstance(a, int) else Atom(a) for a in key[1:])
+        terms.append(Node(key[0], tuple(args)) if key else BOTTOM)
     return terms
 
 
@@ -527,7 +509,7 @@ def check_principle(
             # `_eval` recurses once per quantifier and conjunction of a clause.
             raise UnsupportedTypeError("a clause nests too deeply to check") from None
         if missed is not None:
-            universe = _materialize(checker.universe_keys(), decl, labels)
+            universe = _materialize(checker.universe_keys())
             witness = (tuple(t for i, t in enumerate(universe) if mask >> i & 1), universe[missed])
             return SoundnessReport(decl.type_name, n, checked, mode, witness)
     return SoundnessReport(decl.type_name, n, checked, mode, None)

@@ -14,6 +14,7 @@ from typing import Iterable, Optional
 from structind.core import (
     And,
     App,
+    BOTTOM,
     Forall,
     Formula,
     Implies,
@@ -29,7 +30,6 @@ from structind.core import (
 from structind.generator import conjuncts
 from structind.semantics import (
     Atom,
-    BottomTerm,
     Exhaustive,
     GroundTerm,
     Node,
@@ -47,7 +47,7 @@ class _RelativizedChecker:
         self.decl = decl
         self.universe = universe
         self.in_universe = frozenset(universe)
-        self.atoms = {p: [Atom(label, p) for label in env.carrier(p)] for p in decl.type_params}
+        self.atoms = {p: [Atom(label) for label in env.carrier(p)] for p in decl.type_params}
         self.pred_name, self.conjunct_formulas = self._split(formula)
         self.pred: frozenset[GroundTerm] = frozenset()
 
@@ -134,7 +134,7 @@ class _RelativizedChecker:
                 raise ValueError(f"unbound term variable {term.name!r} in clause") from None
         if isinstance(term, TApp):
             return Node(term.ctor, tuple(self._ground(a, assign) for a in term.args))
-        return BottomTerm()
+        return BOTTOM
 
 
 def reference_check(principle, env, depth_bound, mode) -> SoundnessReport:

@@ -11,20 +11,20 @@ same list.
 
 from itertools import product
 
-from structind.core import Var
-from structind.semantics import Atom, BottomTerm, Node
+from structind.core import BOTTOM, Var
+from structind.semantics import Atom, Node
 
 
 def reference_terms(decl, env, depth_bound, pointed=False):
     """The universe of `decl` up to `depth_bound`; the declaration must lie in
     the enumerable fragment (type parameters and the declared type only)."""
-    atoms = {p: [Atom(label, p) for label in env.carrier(p)] for p in decl.type_params}
+    atoms = {p: [Atom(label) for label in env.carrier(p)] for p in decl.type_params}
     universe = []
     depth_of = {}
     for d in range(1, depth_bound + 1):
         layer = []
         if pointed and d == 1:
-            layer.append(BottomTerm())
+            layer.append(BOTTOM)
         for ctor in decl.constructors:
             choices = []
             recursive = []

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, mostly through subprocesses."""
 
+import functools
 import io
 import os
 import subprocess
@@ -8,7 +9,8 @@ import sys
 import pytest
 
 import corpus
-from structind import cli, semantics
+from line_count import lines_run
+from structind import cli, parser, render, semantics
 from structind.parser import MAX_TYPE_NESTING, parse_decl
 from structind.render import parse_sexpr, render_sexpr
 from structind.semantics import Exhaustive, Node, SoundnessReport
@@ -78,6 +80,19 @@ class TestRendering:
         second = run_cli(args, stdin=corpus.NAT + "\n" + corpus.LIST)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+    @pytest.mark.parametrize("fmt", ["text", "latex"])
+    def test_a_wide_parameter_list_is_read_and_rendered_in_linear_work(
+        self, fmt, monkeypatch, capsys
+    ):
+        # At most 100 lines of the parser and the renderer run per parameter;
+        # reading or binding one parameter must not walk the ones before it.
+        n = 10_000
+        params = " ".join(f"a{i}" for i in range(n))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"data T {params} = C"))
+        main = functools.partial(cli.main, ["--format", fmt])
+        assert lines_run({parser.__file__, render.__file__}, main, 100 * n) == 0
+        assert capsys.readouterr().out.count(":*. ") == n
 
     def test_nested_recursion_warning(self):
         rose = "data Rose a = Rose a (List (Rose a))\n"
@@ -364,9 +379,12 @@ class TestErrors:
 
     # One declaration: the reader leaves before any write. 2,000: the output
     # is far more than a pipe holds, and the reader takes one byte and
-    # leaves. Unbuffered, CPython drops a pipe's short write without an
-    # error, so that run would exit 0 with the output cut.
-    @pytest.mark.parametrize("buffered, count", [(True, 1), (False, 1), (True, 2000)])
+    # leaves. Unbuffered, CPython's text layer drops a pipe's short write
+    # without an error, so the CLI writes the rest itself and meets the
+    # broken pipe on the next write.
+    @pytest.mark.parametrize(
+        "buffered, count", [(True, 1), (False, 1), (True, 2000), (False, 2000)]
+    )
     def test_reader_closes_the_pipe(self, buffered, count):
         source = "".join(f"data T{i} a = L{i} | N{i} a (T{i} a)\n" for i in range(count))
         proc = subprocess.Popen(

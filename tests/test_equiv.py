@@ -2,6 +2,7 @@
 reference in `reference_equiv.py`, and the inputs the reference cannot
 take: long chains of connectives and long or wide chains of binders."""
 
+import functools
 import random
 import re
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import reference_equiv
 import strategies
+from line_count import lines_run
 from structind import core
 from structind.core import (
     And,
@@ -172,6 +174,20 @@ class TestNoRecursion:
         principle = induction_principle(decl, GenOptions()).formula
         readback = parse_sexpr(render_sexpr(principle))
         assert alpha_eq(principle, readback) and prefix_perm_eq(principle, readback)
+
+    @pytest.mark.parametrize("equal", [alpha_eq, prefix_perm_eq])
+    def test_a_wide_principle_is_compared_in_linear_work(self, equal):
+        # At most 100 lines of core run per type parameter: binding one must
+        # not walk the ones before it.
+        n = 10_000
+        params = " ".join(f"a{i}" for i in range(n))
+        f = induction_principle(parse_decl(f"data T {params} = C"), GenOptions()).formula
+        assert lines_run({core.__file__}, functools.partial(equal, f, f), 100 * n)
+
+    def test_free_vars_of_a_long_binder_chain_in_linear_work(self):
+        n = 10_000
+        f = induction_principle(parse_decl("data T a = C" + " a" * n), GenOptions()).formula
+        assert lines_run({core.__file__}, functools.partial(free_vars, f), 100 * n) == set()
 
     def test_mismatch_over_same_sort_binders_pairs_by_use(self, monkeypatch):
         # The reference tries every order of the 12 binders of sort N before

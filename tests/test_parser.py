@@ -1,5 +1,6 @@
 """Declaration parsing: grammar coverage, positions, and error reporting."""
 
+import functools
 import importlib.util
 import random
 import sys
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies
+from line_count import lines_run
+from structind import parser
 from structind.core import App, Arrow, ConstructorDecl, DataDecl, TupleType, Var
 from structind.parser import MAX_TYPE_NESTING, ParseError, parse_decl, parse_program
 from structind.render import render_decl_source
@@ -114,6 +117,16 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_decl("data T a a = C a")
         assert (err.value.pos.line, err.value.pos.column) == (1, 10)
+
+    def test_a_repeat_at_the_end_of_a_wide_parameter_list(self):
+        # At most 100 lines of the parser run per parameter: a parameter is
+        # checked against the ones before it without walking them.
+        n = 10_000
+        text = "data T " + " ".join(f"a{i}" for i in range(n)) + " a0 = C"
+        with pytest.raises(ParseError) as err:
+            lines_run({parser.__file__}, functools.partial(parse_decl, text), 100 * n)
+        assert err.value.message == "duplicate type parameter 'a0'"
+        assert (err.value.pos.line, err.value.pos.column) == (1, text.index(" a0 =") + 2)
 
     def test_repeated_constructor(self):
         with pytest.raises(ParseError) as err:

@@ -53,7 +53,6 @@ PUBLIC_NAMES = {
     "render_text",
     # semantics
     "Atom",
-    "BottomTerm",
     "DEFAULT_SEED",
     "Exhaustive",
     "GroundEnv",

@@ -16,7 +16,9 @@ from reference_check import reference_check
 from reference_enum import reference_terms
 from structind import semantics
 from structind.core import (
+    And,
     App,
+    BOTTOM,
     Bottom,
     Forall,
     Implies,
@@ -33,7 +35,6 @@ from structind.generator import GenOptions, assemble, induction_principle
 from structind.parser import parse_decl
 from structind.semantics import (
     Atom,
-    BottomTerm,
     DEFAULT_SEED,
     EXHAUSTIVE_LIMIT,
     Exhaustive,
@@ -52,11 +53,16 @@ from structind.semantics import (
 NO_PARAMS = GroundEnv({})
 
 
+def with_clauses(decl, pointed, clauses):
+    """The principle made of these (constructor name, clause) pairs."""
+    formula = assemble(decl, pointed, [f for _, f in clauses])
+    return Principle(decl, pointed, formula, tuple(clauses))
+
+
 def delete_clause(decl, pointed, index):
     """The principle with one constructor clause removed."""
     full = induction_principle(decl, GenOptions(pointed=pointed))
-    kept = [c for i, c in enumerate(full.clauses) if i != index]
-    return Principle(decl, pointed, assemble(decl, pointed, [f for _, f in kept]), tuple(kept))
+    return with_clauses(decl, pointed, [c for i, c in enumerate(full.clauses) if i != index])
 
 
 class TestEnumeration:
@@ -83,12 +89,12 @@ class TestEnumeration:
     def test_btree_single_atom_depth_two(self):
         btree = parse_decl(corpus.BTREE)
         env = GroundEnv({"a": ("u",)})
-        leaf = Node("Leaf", (Atom("u", "a"),))
+        leaf = Node("Leaf", (Atom("u"),))
         assert enumerate_terms(btree, env, 2) == [leaf, Node("Fork", (leaf, leaf))]
 
     def test_pointed_nat_depth_two(self):
         nat = parse_decl(corpus.NAT)
-        bot = BottomTerm()
+        bot = BOTTOM
         z = Node("Z")
         assert enumerate_terms(nat, NO_PARAMS, 2, pointed=True) == [
             bot,
@@ -102,15 +108,15 @@ class TestEnumeration:
         env = GroundEnv({"a": ("v", "u")})
         assert enumerate_terms(maybe, env, 1) == [
             Node("Nothing"),
-            Node("Just", (Atom("v", "a"),)),
-            Node("Just", (Atom("u", "a"),)),
+            Node("Just", (Atom("v"),)),
+            Node("Just", (Atom("u"),)),
         ]
 
     def test_depth_counts_recursion_only(self):
         list_ = parse_decl(corpus.LIST)
         env = GroundEnv({"a": ("u",)})
         nil = Node("Nil")
-        cons1 = Node("Cons", (Atom("u", "a"), nil))
+        cons1 = Node("Cons", (Atom("u"), nil))
         assert term_depth(cons1) == 2
         assert enumerate_terms(list_, env, 2) == [nil, cons1]
 
@@ -339,14 +345,14 @@ class TestNode:
         built = [Node("S", (Node("Z"),)), Node("S", (Node("Z", ()),))]
         assert built[0] == built[1] and built[0] is not built[1]
         assert hash(built[0]) == hash(built[1])
-        assert len({*built, Node("S", (BottomTerm(),))}) == 2
+        assert len({*built, Node("S", (BOTTOM,))}) == 2
 
     def test_unpickled_node_hashes_in_another_process(self):
-        term = Node("Cons", (Atom("u", "a"), Node("Nil")))
+        term = Node("Cons", (Atom("u"), Node("Nil")))
         code = (
             "import pickle, sys; from structind.semantics import Atom, Node; "
             "t = pickle.loads(sys.stdin.buffer.read()); "
-            "print(t in {Node('Cons', (Atom('u', 'a'), Node('Nil')))})"
+            "print(t in {Node('Cons', (Atom('u'), Node('Nil')))})"
         )
         # Another hash seed than this process's, so string hashes differ.
         seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
@@ -367,16 +373,16 @@ class TestImmediateSubterms:
         z = Node("Z")
         assert immediate_subterms(Node("S", (z,))) == [z]
         assert immediate_subterms(z) == []
-        assert immediate_subterms(BottomTerm()) == []
-        assert immediate_subterms(Atom("u", "a")) == []
+        assert immediate_subterms(BOTTOM) == []
+        assert immediate_subterms(Atom("u")) == []
 
     def test_atoms_are_not_subterms(self):
-        cons = Node("Cons", (Atom("u", "a"), Node("Nil")))
+        cons = Node("Cons", (Atom("u"), Node("Nil")))
         assert immediate_subterms(cons) == [Node("Nil")]
 
     def test_bottom_child_counts(self):
-        s_bot = Node("S", (BottomTerm(),))
-        assert immediate_subterms(s_bot) == [BottomTerm()]
+        s_bot = Node("S", (BOTTOM,))
+        assert immediate_subterms(s_bot) == [BOTTOM]
         assert term_depth(s_bot) == 2
 
 
@@ -537,6 +543,20 @@ class TestSoundness:
         assert report.passed
 
 
+def swap_parameters(clause):
+    """The clause with its binders of sort a read at b, and those of b at a."""
+    chain = []
+    while isinstance(clause, Forall):
+        sort = clause.sort
+        if isinstance(sort, OfType) and isinstance(sort.ty, Var):
+            sort = OfType(Var({"a": "b", "b": "a"}[sort.ty.name]))
+        chain.append((clause.var, sort))
+        clause = clause.body
+    for var, sort in reversed(chain):
+        clause = Forall(var, sort, clause)
+    return clause
+
+
 def oracle_cases(name, depth, pointed):
     """The generated principle and each clause-deletion mutant of a corpus
     declaration, with its carriers."""
@@ -585,18 +605,29 @@ class TestCheckerOracle:
                 report = check_principle(principle, env, depth, mode)
                 assert report == reference_check(principle, env, depth, mode)
 
-    # Keys hold an atom's label without its parameter; the position of the
-    # argument tells which parameter it belongs to.
+    # An atom is its label; the position of the argument tells which
+    # parameter it belongs to. A clause whose binders range over the other
+    # parameter's carrier builds the same terms when the labels are shared.
     @pytest.mark.parametrize(
-        "source", [corpus.SWAPTREE, "data Two a b = L a | R b | B a b (Two a b)"]
+        "source",
+        [
+            corpus.SWAPTREE,
+            "data Two a b = L a | R b | B a b (Two a b)",
+            "data Two a b = L a | R b",
+        ],
     )
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("pointed", [False, True])
     def test_parameters_sharing_a_label(self, source, depth, pointed):
         decl = parse_decl(source)
         env = GroundEnv({"a": ("u",), "b": ("u",)})
-        principles = [induction_principle(decl, GenOptions(pointed=pointed))]
+        full = induction_principle(decl, GenOptions(pointed=pointed))
+        principles = [full]
         principles += [delete_clause(decl, pointed, i) for i in range(len(decl.constructors))]
+        for i, (name, clause) in enumerate(full.clauses):
+            clauses = list(full.clauses)
+            clauses[i] = (name, swap_parameters(clause))
+            principles.append(with_clauses(decl, pointed, clauses))
         size = universe_size(decl, env, depth, pointed)
         mode = Exhaustive() if size <= ORACLE_EXHAUSTIVE_MAX else Sampled(200, seed=depth)
         for principle in principles:
@@ -629,6 +660,71 @@ class TestCheckerOracle:
             # Every instance of the bad clause is skipped, so the principle
             # fails as if the clause were missing.
             assert report.passed == (depth == 1)
+
+    @staticmethod
+    def nat_with_first_clause(clause, pointed):
+        """Nat's principle with the clause for Z replaced, so that the first
+        predicate that holds of ⊥ (or the first one, unpointed) reads it."""
+        decl = parse_decl(corpus.NAT)
+        step = induction_principle(decl, GenOptions(pointed=pointed)).clauses[1]
+        return with_clauses(decl, pointed, [("Z", clause), step])
+
+    @pytest.mark.parametrize(
+        "clause",
+        [
+            Truth(),
+            Implies(Truth(), PredApp("P", TApp("Z"))),
+            # The right conjunct leaves the universe below depth 3.
+            Forall(
+                "n",
+                OfType(App("Nat")),
+                Implies(
+                    And(
+                        PredApp("P", TVar("n")),
+                        PredApp("P", TApp("S", (TApp("S", (TVar("n"),)),))),
+                    ),
+                    PredApp("P", TApp("Z")),
+                ),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("pointed", [False, True])
+    def test_hand_built_clauses(self, clause, pointed):
+        principle = self.nat_with_first_clause(clause, pointed)
+        for depth in (1, 2, 3):
+            report = check_principle(principle, NO_PARAMS, depth, Exhaustive())
+            assert report == reference_check(principle, NO_PARAMS, depth, Exhaustive())
+
+    @pytest.mark.parametrize(
+        "clause, error, message",
+        [
+            (PredApp("Q", TApp("Z")), ValueError, "unexpected predicate 'Q' in clause"),
+            (BOTTOM, ValueError, "unsupported formula node in clause: Bottom()"),
+            (
+                Forall("x", OfType(Var("a")), PredApp("P", TApp("Z"))),
+                ValueError,
+                "unbound type variable 'a' in clause",
+            ),
+            (
+                Forall("x", OfType(App("Bool")), PredApp("P", TApp("Z"))),
+                UnsupportedTypeError,
+                "cannot range over sort OfType(ty=App(head='Bool', args=()))",
+            ),
+            (
+                Forall("Q", PredOver(App("Nat")), PredApp("P", TApp("Z"))),
+                UnsupportedTypeError,
+                "cannot range over sort PredOver(ty=App(head='Nat', args=()))",
+            ),
+            (PredApp("P", TVar("y")), ValueError, "unbound term variable 'y' in clause"),
+        ],
+    )
+    @pytest.mark.parametrize("pointed", [False, True])
+    def test_malformed_clauses(self, clause, error, message, pointed):
+        principle = self.nat_with_first_clause(clause, pointed)
+        for check in (check_principle, reference_check):
+            with pytest.raises(error) as err:
+                check(principle, NO_PARAMS, 2, Exhaustive())
+            assert str(err.value) == message
 
     def test_the_comparison_covers_refutations(self):
         verdicts = set()
@@ -758,5 +854,5 @@ def test_soundness_sweep_output_is_unchanged(monkeypatch, capsys):
 class TestFormatGroundTerm:
     def test_forms(self):
         assert format_ground_term(Node("Z")) == "Z"
-        assert format_ground_term(Node("S", (BottomTerm(),))) == "(S ⊥)"
-        assert format_ground_term(Node("Leaf", (Atom("u", "a"),))) == "(Leaf u)"
+        assert format_ground_term(Node("S", (BOTTOM,))) == "(S ⊥)"
+        assert format_ground_term(Node("Leaf", (Atom("u"),))) == "(Leaf u)"
