@@ -37,9 +37,7 @@ from .core import (
 )
 from .generator import (
     GenOptions,
-    clause_parts,
     induction_principle,
-    mind_check,
     nested_recursion_warnings,
 )
 from .parser import ParseError, SourcePos, parse_decl, parse_program
@@ -62,7 +60,6 @@ from .semantics import (
     UnsupportedTypeError,
     check_principle,
     enumerate_terms,
-    immediate_subterms,
     universe_size,
 )
 

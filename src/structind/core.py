@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
 
 
@@ -33,38 +33,106 @@ def is_lower_name(name: str) -> bool:
     return valid_name(name) and name[0].islower()
 
 
+# --- nodes ---------------------------------------------------------------------
+
+
+class _Node:
+    """An immutable AST node, compared, hashed, printed and pickled by its
+    fields: the names in `__slots__`, which `__init__` stores through the
+    slots' setters (`_setters`), past the frozen `__setattr__`. To
+    `dataclasses` a node class is the dataclass its `__init__` describes."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        init = cls.__init__
+        cls.__annotations__ = {name: init.__annotations__[name] for name in cls.__slots__}
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        fields = dataclass(init=False, repr=False, eq=False)(cls).__dataclass_fields__
+        defaults = getattr(init, "__defaults__", None) or ()
+        for name, default in zip(reversed(cls.__slots__), reversed(defaults)):
+            fields[name].default = default
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    @property
+    def __dict__(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _unchecked(cls, *values):
+    """A `cls` built without the checks of its `__init__`, for a reader that made them."""
+    obj = object.__new__(cls)
+    for store, value in zip(cls._setters, values):
+        store(obj, value)
+    return obj
+
+
 # --- type expressions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Node):
     """A type variable."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _Var_name(self, name)
 
 
-@dataclass(frozen=True)
-class App:
+class App(_Node):
     """A named type constructor applied to zero or more arguments."""
 
-    head: str
-    args: tuple[TypeExpr, ...] = ()
+    __slots__ = ("head", "args")
+
+    def __init__(self, head: str, args: tuple[TypeExpr, ...] = ()):
+        _App_head(self, head)
+        _App_args(self, args)
 
 
-@dataclass(frozen=True)
-class TupleType:
-    elems: tuple[TypeExpr, ...]
+class TupleType(_Node):
+    __slots__ = ("elems",)
 
-    def __post_init__(self) -> None:
-        if len(self.elems) < 2:
+    def __init__(self, elems: tuple[TypeExpr, ...]):
+        if len(elems) < 2:
             raise ValueError("tuple types need at least two components")
+        _TupleType_elems(self, elems)
 
 
-@dataclass(frozen=True)
-class Arrow:
-    domain: TypeExpr
-    codomain: TypeExpr
+class Arrow(_Node):
+    __slots__ = ("domain", "codomain")
 
+    def __init__(self, domain: TypeExpr, codomain: TypeExpr):
+        _Arrow_domain(self, domain)
+        _Arrow_codomain(self, codomain)
+
+
+[_Var_name] = Var._setters
+_App_head, _App_args = App._setters
+[_TupleType_elems] = TupleType._setters
+_Arrow_domain, _Arrow_codomain = Arrow._setters
 
 TypeExpr = Var | App | TupleType | Arrow
 
@@ -89,80 +157,87 @@ def type_vars(ty: TypeExpr) -> set[str]:
 # --- declarations -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstructorDecl:
-    name: str
-    arg_types: tuple[TypeExpr, ...] = ()
+class ConstructorDecl(_Node):
+    __slots__ = ("name", "arg_types")
 
-    def __post_init__(self) -> None:
-        if not is_upper_name(self.name):
-            raise ValueError(f"constructor name {self.name!r} must start uppercase")
+    def __init__(self, name: str, arg_types: tuple[TypeExpr, ...] = ()):
+        if not is_upper_name(name):
+            raise ValueError(f"constructor name {name!r} must start uppercase")
+        _ConstructorDecl_name(self, name)
+        _ConstructorDecl_arg_types(self, arg_types)
 
     @property
     def arity(self) -> int:
         return len(self.arg_types)
 
 
-@dataclass(frozen=True)
-class DataDecl:
-    type_name: str
-    type_params: tuple[str, ...]
-    constructors: tuple[ConstructorDecl, ...]
+class DataDecl(_Node):
+    __slots__ = ("type_name", "type_params", "constructors")
 
-    def __post_init__(self) -> None:
-        if not is_upper_name(self.type_name):
-            raise ValueError(f"type name {self.type_name!r} must start uppercase")
+    def __init__(
+        self, type_name: str, type_params: tuple[str, ...], constructors: tuple[ConstructorDecl, ...]
+    ):
+        if not is_upper_name(type_name):
+            raise ValueError(f"type name {type_name!r} must start uppercase")
         seen: set[str] = set()
-        for p in self.type_params:
+        for p in type_params:
             if not is_lower_name(p):
                 raise ValueError(f"type parameter {p!r} must start lowercase")
             if p in seen:
                 raise ValueError(f"duplicate type parameter {p!r}")
             seen.add(p)
-        if not self.constructors:
-            raise ValueError(f"type {self.type_name} declares no constructors")
-        repeated = [n for n, k in Counter(c.name for c in self.constructors).items() if k > 1]
+        if not constructors:
+            raise ValueError(f"type {type_name} declares no constructors")
+        repeated = [n for n, k in Counter(c.name for c in constructors).items() if k > 1]
         if repeated:
             raise ValueError(f"duplicate constructor {repeated[0]!r}")
-        args = [(ctor, ty) for ctor in self.constructors for ty in ctor.arg_types]
+        args = [(ctor, ty) for ctor in constructors for ty in ctor.arg_types]
         if any(type(t) is Var and t.name not in seen for t in _type_nodes([a for _, a in args])):
             # Name the least loose variable of the first offending argument.
             ctor, loose = next((c, type_vars(ty) - seen) for c, ty in args if type_vars(ty) - seen)
             raise ValueError(
                 f"type variable {min(loose)!r} in constructor "
-                f"{ctor.name} is not a parameter of {self.type_name}"
+                f"{ctor.name} is not a parameter of {type_name}"
             )
+        _DataDecl_type_name(self, type_name)
+        _DataDecl_type_params(self, type_params)
+        _DataDecl_constructors(self, constructors)
 
 
-def _unchecked(cls, **fields):
-    """A `cls` built without its `__post_init__`, for a reader that made its checks."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+_ConstructorDecl_name, _ConstructorDecl_arg_types = ConstructorDecl._setters
+_DataDecl_type_name, _DataDecl_type_params, _DataDecl_constructors = DataDecl._setters
 
 
 # --- terms ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TVar:
+class TVar(_Node):
     """A term variable."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _TVar_name(self, name)
 
 
-@dataclass(frozen=True)
-class TApp:
+class TApp(_Node):
     """A constructor applied to zero or more argument terms."""
 
-    ctor: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ("ctor", "args")
+
+    def __init__(self, ctor: str, args: tuple[Term, ...] = ()):
+        _TApp_ctor(self, ctor)
+        _TApp_args(self, args)
 
 
-@dataclass(frozen=True)
-class Bottom:
+class Bottom(_Node):
     """The undefined value of a pointed type."""
 
+    __slots__ = ()
+
+
+[_TVar_name] = TVar._setters
+_TApp_ctor, _TApp_args = TApp._setters
 
 Term = TVar | TApp | Bottom
 
@@ -172,87 +247,97 @@ BOTTOM = Bottom()
 # --- sorts and formulas ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OfKindStar:
+class OfKindStar(_Node):
     """Binder annotation for a type variable."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class OfType:
+
+class OfType(_Node):
     """Binder annotation for a term variable of the given type."""
 
-    ty: TypeExpr
+    __slots__ = ("ty",)
+
+    def __init__(self, ty: TypeExpr):
+        _OfType_ty(self, ty)
 
 
-@dataclass(frozen=True)
-class PredOver:
+class PredOver(_Node):
     """Binder annotation for a predicate over the given type."""
 
-    ty: TypeExpr
+    __slots__ = ("ty",)
 
+    def __init__(self, ty: TypeExpr):
+        _PredOver_ty(self, ty)
+
+
+[_OfType_ty], [_PredOver_ty] = OfType._setters, PredOver._setters
 
 Sort = OfKindStar | OfType | PredOver
 
 OF_KIND_STAR = OfKindStar()
 
 
-@dataclass(frozen=True)
-class Truth:
-    pass
+class Truth(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PredApp:
-    pred: str
-    arg: Term
+class PredApp(_Node):
+    __slots__ = ("pred", "arg")
+
+    def __init__(self, pred: str, arg: Term):
+        _PredApp_pred(self, pred)
+        _PredApp_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class And:
-    left: Formula
-    right: Formula
+class And(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _And_left(self, left)
+        _And_right(self, right)
 
 
-@dataclass(frozen=True)
-class Implies:
-    antecedent: Formula
-    consequent: Formula
+class Implies(_Node):
+    __slots__ = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: Formula, consequent: Formula):
+        _Implies_antecedent(self, antecedent)
+        _Implies_consequent(self, consequent)
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    sort: Sort
-    body: Formula
+class Forall(_Node):
+    __slots__ = ("var", "sort", "body")
 
+    def __init__(self, var: str, sort: Sort, body: Formula):
+        _Forall_var(self, var)
+        _Forall_sort(self, sort)
+        _Forall_body(self, body)
+
+
+_PredApp_pred, _PredApp_arg = PredApp._setters
+_And_left, _And_right = And._setters
+_Implies_antecedent, _Implies_consequent = Implies._setters
+_Forall_var, _Forall_sort, _Forall_body = Forall._setters
 
 Formula = Truth | PredApp | And | Implies | Forall
 
 
-@dataclass(frozen=True)
-class Principle:
+class Principle(_Node):
     """A generated induction principle together with its per-constructor clauses."""
 
-    decl: DataDecl
-    pointed: bool
-    formula: Formula
-    clauses: tuple[tuple[str, Formula], ...]
+    __slots__ = ("decl", "pointed", "formula", "clauses")
+
+    def __init__(
+        self, decl: DataDecl, pointed: bool, formula: Formula, clauses: tuple[tuple[str, Formula], ...]
+    ):
+        _Principle_decl(self, decl)
+        _Principle_pointed(self, pointed)
+        _Principle_formula(self, formula)
+        _Principle_clauses(self, clauses)
 
 
-def subformulas(f: Formula):
-    """Yield f and every formula nested inside it, outermost first and left
-    before right. The formulas still to visit wait on a stack, so long
-    chains cost no recursion."""
-    stack = [f]
-    while stack:
-        f = stack.pop()
-        yield f
-        if isinstance(f, And):
-            stack += f.right, f.left
-        elif isinstance(f, Implies):
-            stack += f.consequent, f.antecedent
-        elif isinstance(f, Forall):
-            stack.append(f.body)
+_Principle_decl, _Principle_pointed, _Principle_formula, _Principle_clauses = Principle._setters
 
 
 # --- free variables -------------------------------------------------------------
@@ -333,16 +418,21 @@ def _commute(outer: tuple, inner: tuple) -> bool:
 def _open(f: Forall, env: dict, binders: list[tuple]) -> tuple[dict, Formula]:
     """Number the chain of binders from `f` on in `binders`, each with the
     environment its sort is read in, and return the chain's environment and
-    body. Sorts read only type binders, and a type binder's own sort reads
-    nothing, so the binders share one environment until a type binder binds
-    after a sort was read in it: that one binds in a copy."""
-    env, read = dict(env), False
+    body. The chain binds in one copy of `env`, which its binders share.
+    Sorts read only type binders, and a type binder's own sort reads
+    nothing; so before a type binder binds, each binder whose sort was read
+    since the last one gets its own environment of the names it reads."""
+    env, read = dict(env), []
     while f.__class__ is Forall:
         ns = _binder_namespace(f.sort)
         if ns != "type":
-            read = True
+            read.append(len(binders))
         elif read:
-            env, read = dict(env), False
+            for b in read:
+                var, sort, _ = binders[b]
+                names = [("type", a) for a in _sort_type_vars(sort)]
+                binders[b] = var, sort, {k: env[k] for k in names if k in env}
+            read = []
         binders.append((f.var, f.sort, env))
         env[ns, f.var] = len(binders) - 1
         f = f.body

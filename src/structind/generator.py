@@ -32,7 +32,6 @@ from .core import (
     PredApp,
     PredOver,
     Principle,
-    Sort,
     TApp,
     TVar,
     TypeExpr,
@@ -121,55 +120,6 @@ def induction_principle(decl: DataDecl, opts: GenOptions = GenOptions()) -> Prin
     clauses = tuple((c.name, _clause(decl, c)) for c in decl.constructors)
     formula = assemble(decl, opts.pointed, [f for _, f in clauses])
     return Principle(decl, opts.pointed, formula, clauses)
-
-
-def clause_parts(clause: Formula) -> tuple[list[tuple[str, Sort]], list[Formula], Formula]:
-    """Split a constructor clause into binders, hypotheses, and conclusion."""
-    binders: list[tuple[str, Sort]] = []
-    f = clause
-    while isinstance(f, Forall):
-        binders.append((f.var, f.sort))
-        f = f.body
-    if isinstance(f, Implies):
-        return binders, conjuncts(f.antecedent), f.consequent
-    return binders, [], f
-
-
-def mind_check(principle: Principle) -> bool:
-    """Check that a principle over a Nat-shaped type is ordinary mathematical induction.
-
-    The declaration must have exactly one nullary constructor and one unary
-    recursive constructor, and the principle must be unpointed; anything
-    else raises ValueError. The result states whether the base clause is
-    quantifier- and hypothesis-free and the step clause has exactly one
-    quantifier and one hypothesis.
-    """
-    if principle.pointed:
-        raise ValueError("mind_check applies only to unpointed principles")
-    decl = principle.decl
-    nullary = [c for c in decl.constructors if c.arity == 0]
-    unary = [
-        c
-        for c in decl.constructors
-        if c.arity == 1 and is_recursive_arg(decl, c.arg_types[0])
-    ]
-    if len(decl.constructors) != 2 or len(nullary) != 1 or len(unary) != 1:
-        raise ValueError(f"{decl.type_name} is not shaped like the naturals")
-    if len(principle.clauses) != 2:
-        return False
-    by_name = dict(principle.clauses)
-    base = by_name.get(nullary[0].name)
-    step = by_name.get(unary[0].name)
-    if base is None or step is None:
-        return False
-    base_binders, base_hyps, _ = clause_parts(base)
-    step_binders, step_hyps, _ = clause_parts(step)
-    return (
-        not base_binders
-        and not base_hyps
-        and len(step_binders) == 1
-        and len(step_hyps) == 1
-    )
 
 
 @dataclass(frozen=True)

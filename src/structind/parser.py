@@ -187,9 +187,7 @@ class _Parser(_Reader):
                 raise ParseError(
                     self.pos(first + k), f"type parameters must be lowercase names, found {p!r}"
                 )
-        return _unchecked(
-            DataDecl, type_name=name, type_params=tuple(params), constructors=tuple(ctors)
-        )
+        return _unchecked(DataDecl, name, tuple(params), tuple(ctors))
 
     def ctor(self, type_name: str, taken: set[str]) -> ConstructorDecl:
         if self.kinds[self.i] == "lower":
@@ -207,7 +205,7 @@ class _Parser(_Reader):
             if self.peek().startswith(":"):
                 self.fail("unsupported feature: infix constructor")
             self.fail("unexpected operator")
-        return _unchecked(ConstructorDecl, name=name, arg_types=args)
+        return _unchecked(ConstructorDecl, name, args)
 
     # --- types ---
 

@@ -136,33 +136,32 @@ def _sort(s: Sort, st: _Style) -> str:
     return f"{_type_ann(s.ty, st)}{st.arrow}{st.bool_sym}"
 
 
-def _formula(
-    f: Formula, st: _Style, top: bool, tscope: frozenset[str], ren: dict[str, str]
-) -> str:
+def _formula(f: Formula, st: _Style, top: bool, tscope: dict[str, int], ren: dict[str, str]) -> str:
     # The right spine (quantifier bodies, right conjuncts, consequents) is
     # walked in a loop, so the long chains the generator writes (a conjunct
     # per constructor, a quantifier per argument) cost no stack depth. Each
     # connective that is not on top opens a parenthesis that closes at the
-    # very end, because everything after it is its right operand.
+    # very end, because everything after it is its right operand. So does a
+    # binder's scope: the call that meets it takes it out of `tscope` (type
+    # binders in scope, per name) or `ren` (renamings) when it returns.
     out: list[str] = []
     opened = 0
+    types: list[str] = []  # the type binders this call brought into scope
+    renamed: list[tuple[str, str]] = []  # each renamed binder, with the name it hid
     while True:
-        if isinstance(f, Forall) and isinstance(f.sort, OfKindStar):
-            # A run of type binders joins the scope in one copy.
-            run = []
-            while isinstance(f, Forall) and isinstance(f.sort, OfKindStar):
-                run.append(f.var)
-                out.append(f"{st.forall}{_ident(f.var, st)}:*. ")
-                f = f.body
-            tscope = tscope.union(run)
-            continue
         if isinstance(f, Forall):
             display = f.var
-            while display in tscope:
-                display += "0"
-            if display != f.var:
-                ren = {**ren, f.var: display}
-            out.append(f"{st.forall}{_ident(display, st)}:{_sort(f.sort, st)}. ")
+            if isinstance(f.sort, OfKindStar):
+                tscope[display] = tscope.get(display, 0) + 1
+                types.append(display)
+                out.append(f"{st.forall}{_ident(display, st)}:*. ")
+            else:
+                while tscope.get(display):
+                    display += "0"
+                if display != f.var:
+                    renamed.append((f.var, ren.get(f.var, f.var)))
+                    ren[f.var] = display
+                out.append(f"{st.forall}{_ident(display, st)}:{_sort(f.sort, st)}. ")
             f = f.body
             continue
         if isinstance(f, And):
@@ -187,15 +186,18 @@ def _formula(
     else:
         raise TypeError(f"not a formula: {f!r}")
     out.append(")" * opened)
+    for name in types:
+        tscope[name] -= 1
+    ren.update(reversed(renamed))
     return "".join(out)
 
 
 def render_text(f: Formula) -> str:
-    return _formula(f, _TEXT, True, frozenset(), {})
+    return _formula(f, _TEXT, True, {}, {})
 
 
 def render_latex(f: Formula) -> str:
-    return _formula(f, _LATEX, True, frozenset(), {})
+    return _formula(f, _LATEX, True, {}, {})
 
 
 # --- declaration source ---------------------------------------------------------

@@ -156,18 +156,6 @@ class Node:
 GroundTerm = Atom | Node | Bottom
 
 
-def immediate_subterms(t: GroundTerm) -> list[GroundTerm]:
-    """Children of the declared type; atoms never count and the bottom has none."""
-    if isinstance(t, Node):
-        return [c for c in t.children if not isinstance(c, Atom)]
-    return []
-
-
-def term_depth(t: GroundTerm) -> int:
-    subs = immediate_subterms(t)
-    return 1 + (max(map(term_depth, subs)) if subs else 0)
-
-
 def format_ground_term(t: GroundTerm) -> str:
     if isinstance(t, Atom):
         return t.label

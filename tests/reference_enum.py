@@ -6,13 +6,14 @@ positions, the whole universe so far for recursive ones) and keep the
 combinations whose deepest recursive child has depth d - 1. It does far
 more work than `semantics.enumerate_terms`, which builds each layer only
 from combinations that reach the newest layer, and it must produce the
-same list.
+same list. `immediate_subterms` and `term_depth` read the depth of a
+ground term back from the term itself.
 """
 
 from itertools import product
 
 from structind.core import BOTTOM, Var
-from structind.semantics import Atom, Node
+from structind.semantics import Atom, GroundTerm, Node
 
 
 def reference_terms(decl, env, depth_bound, pointed=False):
@@ -45,3 +46,15 @@ def reference_terms(decl, env, depth_bound, pointed=False):
             depth_of[t] = d
             universe.append(t)
     return universe
+
+
+def immediate_subterms(t: GroundTerm) -> list[GroundTerm]:
+    """Children of the declared type; atoms never count and the bottom has none."""
+    if isinstance(t, Node):
+        return [c for c in t.children if not isinstance(c, Atom)]
+    return []
+
+
+def term_depth(t: GroundTerm) -> int:
+    subs = immediate_subterms(t)
+    return 1 + (max(map(term_depth, subs)) if subs else 0)

@@ -13,6 +13,7 @@ import corpus
 import reference_gen
 import strategies
 from known_principles import KNOWN
+from formula_shape import clause_parts, mind_check, subformulas
 from structind.core import (
     Bottom,
     Forall,
@@ -21,16 +22,13 @@ from structind.core import (
     Principle,
     free_vars,
     prefix_perm_eq,
-    subformulas,
 )
 from structind.generator import (
     GenOptions,
     assemble,
-    clause_parts,
     conjuncts,
     induction_principle,
     is_recursive_arg,
-    mind_check,
 )
 from structind.parser import parse_decl
 from structind.render import parse_sexpr, render_decl_source, render_sexpr

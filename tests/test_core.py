@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies
+from formula_shape import subformulas
 from structind import core
 from structind.core import (
     And,
@@ -34,7 +35,6 @@ from structind.core import (
     is_lower_name,
     is_upper_name,
     prefix_perm_eq,
-    subformulas,
     valid_name,
 )
 from structind.generator import is_recursive_arg

@@ -5,6 +5,7 @@ take: long chains of connectives and long or wide chains of binders."""
 import functools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import reference_equiv
 import strategies
+from formula_shape import alternating_chain, subformulas
 from line_count import lines_run
 from structind import core
 from structind.core import (
@@ -30,7 +32,6 @@ from structind.core import (
     alpha_eq,
     free_vars,
     prefix_perm_eq,
-    subformulas,
 )
 from structind.generator import GenOptions, induction_principle
 from structind.parser import parse_decl
@@ -188,6 +189,25 @@ class TestNoRecursion:
         n = 10_000
         f = induction_principle(parse_decl("data T a = C" + " a" * n), GenOptions()).formula
         assert lines_run({core.__file__}, functools.partial(free_vars, f), 100 * n) == set()
+
+    @pytest.mark.parametrize("n", [2_500, 5_000])
+    @pytest.mark.parametrize("walk", [alpha_eq, prefix_perm_eq, free_vars])
+    def test_an_alternating_chain_in_linear_work_and_memory(self, walk, n):
+        # At most 200 lines of core run per pair of binders and its conjunct
+        # (136 do), and the walk holds at most 4 KB per pair at any time. A
+        # type binder that follows a term binder must not copy the
+        # environment: the copy is one C call, which the line count does not
+        # see, but the copies stay alive, and the memory bound sees them.
+        f = alternating_chain(n)
+        call = functools.partial(walk, f) if walk is free_vars else functools.partial(walk, f, f)
+        tracemalloc.start()
+        try:
+            result = lines_run({core.__file__}, call, 200 * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == ({"P"} if walk is free_vars else True)
+        assert peak < 4_000 * n
 
     def test_mismatch_over_same_sort_binders_pairs_by_use(self, monkeypatch):
         # The reference tries every order of the 12 binders of sort N before

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import corpus
 import strategies
+from formula_shape import clause_parts, mind_check, subformulas
 from reference_gen import reference_principle
 from structind.core import (
     And,
@@ -26,16 +27,13 @@ from structind.core import (
     alpha_eq,
     free_vars,
     prefix_perm_eq,
-    subformulas,
 )
 from structind.generator import (
     GenOptions,
     assemble,
-    clause_parts,
     conjoin,
     conjuncts,
     induction_principle,
-    mind_check,
     nested_recursion_warnings,
 )
 from structind.parser import parse_decl

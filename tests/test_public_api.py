@@ -36,9 +36,7 @@ PUBLIC_NAMES = {
     "prefix_perm_eq",
     # generator
     "GenOptions",
-    "clause_parts",
     "induction_principle",
-    "mind_check",
     "nested_recursion_warnings",
     # parser
     "ParseError",
@@ -63,7 +61,6 @@ PUBLIC_NAMES = {
     "UnsupportedTypeError",
     "check_principle",
     "enumerate_terms",
-    "immediate_subterms",
     "universe_size",
 }
 

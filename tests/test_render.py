@@ -1,5 +1,6 @@
 """Text, LaTeX, s-expression, and declaration-source rendering."""
 
+import functools
 import re
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 import corpus
 import reference_source
 import strategies
+from formula_shape import alternating_chain
 from latex_reader import parse_latex
+from line_count import lines_run
 from structind.core import (
     And,
     App,
@@ -118,6 +121,16 @@ class TestRenderText:
             Forall("b", OF_KIND_STAR, Forall("b", OfType(Var("b")), PredApp("P", TVar("b")))),
         )
         assert render_text(formula).endswith("∀b00:b. (P b00)")
+
+    @pytest.mark.parametrize("n", [2_500, 5_000])
+    @pytest.mark.parametrize("term", ["x", "a"])
+    def test_an_alternating_chain_is_rendered_in_linear_work(self, term, n):
+        # At most 100 lines of the renderer run per pair of binders: a type
+        # binder, or a term binder renamed because it shadows one, joins the
+        # scope without walking the binders before it.
+        call = functools.partial(render_text, alternating_chain(n, term))
+        text = lines_run({render.__file__}, call, 100 * n)
+        assert text.startswith("∀a1:*. ∀") and text.count(":*. ") == text.count("(P ") == n
 
 
 def _regex_ident(name):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 import corpus
 import strategies
 from reference_check import reference_check
-from reference_enum import reference_terms
+from reference_enum import immediate_subterms, reference_terms, term_depth
 from structind import semantics
 from structind.core import (
     And,
@@ -45,8 +45,6 @@ from structind.semantics import (
     check_principle,
     enumerate_terms,
     format_ground_term,
-    immediate_subterms,
-    term_depth,
     universe_size,
 )
 
