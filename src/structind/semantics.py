@@ -17,7 +17,7 @@ for a counterexample. The universe's size is counted first
 (`_count_terms`), and its keys are built one depth layer at a time, on
 demand, in exhaustive and sampled checks alike: a lookup that misses
 builds the next layer and retries, until the key is found or no layer is
-left, and a counterexample builds whatever is still missing.
+left, and a counterexample builds up to the last term its witness names.
 
 The enumerable fragment covers constructor arguments that are type
 parameters (carrier atoms) or applications headed by the declared type
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from math import inf, prod
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -59,9 +59,9 @@ from .render import type_source
 DEFAULT_SEED = 271828
 EXHAUSTIVE_LIMIT = 20
 # A sampled check that builds its whole universe, because a lookup
-# reached the last layer or a counterexample is reported, keeps the keys,
-# their position dict and one sampled predicate in memory: about 160 B per
-# term, 170 B while they are built (tracemalloc on universes of
+# reached the last layer or its counterexample names a term there, keeps
+# the keys, their position dict and one sampled predicate in memory: about
+# 160 B per term, 170 B while they are built (tracemalloc on universes of
 # 260,000-460,000 terms), so a million terms is under 200 MB. That is
 # the worst case: a check whose lookups stay in the first layers keeps
 # only those.
@@ -349,20 +349,12 @@ class _RelativizedChecker:
         self.position.update(zip(keys[start:], range(start, len(keys))))
         self.keys = keys
 
-    def universe_keys(self) -> list[tuple]:
-        """All of the universe's keys, building what is not built yet."""
-        while self.layers is not None:
-            self._grow()
-        return self.keys
-
-    def _split(self, formula: Formula) -> tuple[str, list[Formula]]:
-        f = formula
+    def _split(self, f: Formula) -> tuple[str, list[Formula]]:
         while isinstance(f, Forall) and isinstance(f.sort, OfKindStar):
             f = f.body
         if not (isinstance(f, Forall) and isinstance(f.sort, PredOver)):
             raise ValueError("formula lacks the predicate binder of a generated principle")
-        pred = f.var
-        body = f.body
+        pred, body = f.var, f.body
         if not isinstance(body, Implies):
             raise ValueError("predicate binder body is not an implication")
         concl = body.consequent
@@ -370,7 +362,9 @@ class _RelativizedChecker:
             isinstance(concl, Forall)
             and isinstance(concl.sort, OfType)
             and is_recursive_arg(self.decl, concl.sort.ty)
-            and concl.body == PredApp(pred, TVar(concl.var))
+            and type(concl.body) is PredApp
+            and type(concl.body.arg) is TVar
+            and (concl.body.pred, concl.body.arg.name) == (pred, concl.var)
         ):
             raise ValueError("conclusion does not quantify the declared type")
         return pred, conjuncts(body.antecedent)
@@ -497,7 +491,12 @@ def check_principle(
             # `_eval` recurses once per quantifier and conjunction of a clause.
             raise UnsupportedTypeError("a clause nests too deeply to check") from None
         if missed is not None:
-            universe = _materialize(checker.universe_keys())
-            witness = (tuple(t for i, t in enumerate(universe) if mask >> i & 1), universe[missed])
-            return SoundnessReport(decl.type_name, n, checked, mode, witness)
+            # Keys follow their children, so the prefix up to the last term named
+            # holds the whole witness; mask bit i is digit i of bin(mask) reversed.
+            top = max(mask.bit_length(), missed + 1)
+            while len(checker.keys) < top:
+                checker._grow()
+            universe = _materialize(checker.keys[:top])
+            holds = tuple(compress(universe, map("1".__eq__, bin(mask)[:1:-1])))
+            return SoundnessReport(decl.type_name, n, checked, mode, (holds, universe[missed]))
     return SoundnessReport(decl.type_name, n, checked, mode, None)

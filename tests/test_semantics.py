@@ -509,6 +509,30 @@ class TestSoundness:
                 ),
                 NO_CONCLUSION,
             ),
+            (
+                Forall(
+                    "P",
+                    PredOver(NAT_TYPE),
+                    Implies(CLAUSE, Forall("n", OfType(NAT_TYPE), PredApp("P", TVar("m")))),
+                ),
+                NO_CONCLUSION,
+            ),
+            (
+                Forall(
+                    "P",
+                    PredOver(NAT_TYPE),
+                    Implies(CLAUSE, Forall("n", OfType(NAT_TYPE), PredApp("P", TApp("S", (TVar("n"),))))),
+                ),
+                NO_CONCLUSION,
+            ),
+            (
+                Forall(
+                    "P",
+                    PredOver(NAT_TYPE),
+                    Implies(CLAUSE, Forall("n", OfType(NAT_TYPE), And(PredApp("P", TVar("n")), Truth()))),
+                ),
+                NO_CONCLUSION,
+            ),
         ],
     )
     def test_a_malformed_principle_is_refused(self, formula, message):
@@ -787,17 +811,40 @@ class TestLazyUniverse:
         # Layers 1-3 of 4: no lookup reached a child in layer 3.
         assert built == [3, 12, 147]
 
-    def test_a_counterexample_builds_every_layer(self, monkeypatch):
+    def test_a_counterexample_builds_only_the_layers_its_witness_names(self, monkeypatch):
         built = self.layers_built(monkeypatch)
         mutant = delete_clause(parse_decl(corpus.NAT), False, 1)
-        mode = Sampled(20, 1)
+        # Predicate 2 holds of Z alone and misses S Z, in layer 2 of 12.
+        report = check_principle(mutant, NO_PARAMS, 12, Exhaustive())
+        assert (report.predicates_checked, built) == (2, [1, 2])
+        assert report == reference_check(mutant, NO_PARAMS, 12, Exhaustive())
+
+    # Seed 3's missed term is the witness's last, seed 7's predicate holds
+    # of a later term than the one it misses.
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_a_sampled_witness_builds_the_layers_it_names(self, seed, monkeypatch):
+        built = self.layers_built(monkeypatch)
+        mutant = delete_clause(parse_decl(corpus.NAT), False, 1)
+        mode = Sampled(20, seed)
         # Without the step clause every lookup lies in layer 1.
         report = check_principle(mutant, NO_PARAMS, 4, mode)
-        assert built == [1, 2, 3, 4]
+        assert built == [1, 2, 3]
         assert report == reference_check(mutant, NO_PARAMS, 4, mode)
-        # The witness names terms of the layers that no lookup reached.
+        # The witness names terms of layer 3, which no lookup reached.
         predicate, missed = report.counterexample
-        assert Node("Z") in predicate and term_depth(missed) > 1
+        assert Node("Z") in predicate and max(map(term_depth, (*predicate, missed))) == 3
+
+    # A 677-bit predicate: its terms are read far past one machine word.
+    @pytest.mark.parametrize("seed, held", [(1, 333), (2, 352), (3, 345)])
+    def test_a_wide_sampled_witness(self, seed, held, monkeypatch):
+        built = self.layers_built(monkeypatch)
+        mutant = delete_clause(parse_decl("data T = L | N T T"), False, 1)
+        mode = Sampled(5, seed)
+        report = check_principle(mutant, NO_PARAMS, 5, mode)
+        layers = list(built)  # before the reference builds layers of its own
+        assert report == reference_check(mutant, NO_PARAMS, 5, mode)
+        assert (report.universe_size, report.predicates_checked) == (677, 1)
+        assert len(report.counterexample[0]) == held and layers == [1, 2, 5, 26, 677]
 
     def test_an_exhaustive_check_reaches_every_layer(self, monkeypatch):
         built = self.layers_built(monkeypatch)
