@@ -28,7 +28,6 @@ from .core import (
     TVar,
     Term,
     TupleType,
-    Truth,
     TypeExpr,
     Var,
     alpha_eq,

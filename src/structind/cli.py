@@ -79,13 +79,13 @@ def main(argv: list[str] | None = None) -> int:
 
     sources: list[tuple[str, str]] = []
     name = "<stdin>"
-    try:
+    try:  # a leading byte-order mark is skipped, as GHC skips it
         if args.files:
             for name in args.files:
-                with open(name, encoding="utf-8") as handle:
+                with open(name, encoding="utf-8-sig") as handle:
                     sources.append((name, handle.read()))
         else:
-            sources.append((name, sys.stdin.read()))
+            sources.append((name, sys.stdin.read().removeprefix("\ufeff")))
     except OSError as e:
         print(f"structind: error: {e}", file=sys.stderr)
         return 1

@@ -278,10 +278,6 @@ Sort = OfKindStar | OfType | PredOver
 OF_KIND_STAR = OfKindStar()
 
 
-class Truth(_Node):
-    __slots__ = ()
-
-
 class PredApp(_Node):
     __slots__ = ("pred", "arg")
 
@@ -320,7 +316,7 @@ _And_left, _And_right = And._setters
 _Implies_antecedent, _Implies_consequent = Implies._setters
 _Forall_var, _Forall_sort, _Forall_body = Forall._setters
 
-Formula = Truth | PredApp | And | Implies | Forall
+Formula = PredApp | And | Implies | Forall
 
 
 class Principle(_Node):
@@ -357,9 +353,14 @@ def _sort_type_vars(sort: Sort) -> set[str]:
 
 
 def free_vars(f: Formula) -> set[str]:
-    """Free variables of a formula, across all three namespaces. What is
-    still to visit waits on a stack, with the binders in scope there."""
-    free: set[str] = set()
+    """Free variables of a formula, across all three namespaces."""
+    return _names(f)[0]
+
+
+def _names(f: Formula) -> tuple[set[str], set[str]]:
+    """The free variables of a formula, and the names its binders bind. What
+    is still to visit waits on a stack, with the binders in scope there."""
+    free, binders = set(), set()
     stack: list[tuple] = [(f, set())]
     while stack:
         x, bound = stack.pop()
@@ -381,11 +382,12 @@ def free_vars(f: Formula) -> set[str]:
             while isinstance(x, Forall):
                 free.update(a for a in _sort_type_vars(x.sort) if ("type", a) not in bound)
                 bound.add((_binder_namespace(x.sort), x.var))
+                binders.add(x.var)
                 x = x.body
             stack.append((x, bound))
-        elif not isinstance(x, (Truth, Bottom)):
+        elif not isinstance(x, Bottom):
             raise TypeError(f"not a formula: {x!r}")
-    return free
+    return free, binders
 
 
 # --- equivalence ---------------------------------------------------------------------
@@ -548,7 +550,7 @@ class _Match:
                     else:
                         self.run += map(range, range(first, end), range(first + 1, end + 1))
                     stack.append((body1, body2, env1, env2))
-                elif cls is not Truth and cls is not Bottom:
+                elif cls is not Bottom:
                     return False
                 continue
             # An occurrence of a name: bound on both sides to a pair, or free on both.

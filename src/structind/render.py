@@ -8,10 +8,10 @@ the formula; any other quantifier binds exactly the next self-delimiting
 group, so `(∀x1:a. (P (Leaf x1)) ∧ ∀b1:…)` is a conjunction of two
 quantified formulas. A quantified antecedent of an implication is
 parenthesized, so that a one-constructor type's clause does not read as
-part of the leading chain. When a term or predicate binder shadows a type
-variable in scope, its displayed name gets "0" appended until it is
-distinct; the underlying AST is untouched, and the s-expression format
-never renames.
+part of the leading chain. A term or predicate binder that shadows a type
+variable in scope is shown with "0" appended until its name differs from
+every name in the formula and every name shown for another binder; the
+AST is untouched, and the s-expression format never renames.
 
 Declaration syntax shares the type printer: it is the text style with
 ASCII arrows, and an application outside argument position stays bare.
@@ -42,9 +42,9 @@ from .core import (
     TupleType,
     TVar,
     Term,
-    Truth,
     TypeExpr,
     Var,
+    _names,
 )
 from .parser import MAX_TYPE_NESTING, ParseError, _Reader
 
@@ -57,13 +57,12 @@ class _Style:
     arrow: str
     bool_sym: str
     bottom: str
-    truth: str
     sep: str
     subscripts: bool
     bare_apps: bool = False
 
 
-_TEXT = _Style("∀", " ∧ ", " ⇒ ", " → ", "\U0001d539", "⊥", "⊤", " ", False)
+_TEXT = _Style("∀", " ∧ ", " ⇒ ", " → ", "\U0001d539", "⊥", " ", False)
 _LATEX = _Style(
     "\\forall ",
     " \\wedge ",
@@ -71,7 +70,6 @@ _LATEX = _Style(
     " \\rightarrow ",
     "{\\mathbb{B}}",
     "\\bot",
-    "\\top",
     "\\; ",
     True,
 )
@@ -136,7 +134,23 @@ def _sort(s: Sort, st: _Style) -> str:
     return f"{_type_ann(s.ty, st)}{st.arrow}{st.bool_sym}"
 
 
-def _formula(f: Formula, st: _Style, top: bool, tscope: dict[str, int], ren: dict[str, str]) -> str:
+class _Scope:
+    """One render's type binders in scope, as a count per name, and renamings
+    in scope; from the first renaming on, the names a new one must avoid."""
+
+    def __init__(self, root: Formula):
+        self.root, self.tscope, self.ren, self.taken = root, {}, {}, None
+
+    def rename(self, var: str) -> str:
+        if self.taken is None:  # every name in the formula, bound or free
+            self.taken = set.union(*_names(self.root))
+        while var in self.taken:
+            var += "0"
+        self.taken.add(var)
+        return var
+
+
+def _formula(f: Formula, st: _Style, top: bool, scope: _Scope) -> str:
     # The right spine (quantifier bodies, right conjuncts, consequents) is
     # walked in a loop, so the long chains the generator writes (a conjunct
     # per constructor, a quantifier per argument) cost no stack depth. Each
@@ -144,24 +158,24 @@ def _formula(f: Formula, st: _Style, top: bool, tscope: dict[str, int], ren: dic
     # very end, because everything after it is its right operand. So does a
     # binder's scope: the call that meets it takes it out of `tscope` (type
     # binders in scope, per name) or `ren` (renamings) when it returns.
+    tscope, ren = scope.tscope, scope.ren
     out: list[str] = []
     opened = 0
     types: list[str] = []  # the type binders this call brought into scope
-    renamed: list[tuple[str, str]] = []  # each renamed binder, with the name it hid
+    renamed: list[tuple] = []  # each renamed binder's key in `ren`, with the name it hid
     while True:
         if isinstance(f, Forall):
             display = f.var
             if isinstance(f.sort, OfKindStar):
                 tscope[display] = tscope.get(display, 0) + 1
                 types.append(display)
-                out.append(f"{st.forall}{_ident(display, st)}:*. ")
-            else:
-                while tscope.get(display):
-                    display += "0"
-                if display != f.var:
-                    renamed.append((f.var, ren.get(f.var, f.var)))
-                    ren[f.var] = display
-                out.append(f"{st.forall}{_ident(display, st)}:{_sort(f.sort, st)}. ")
+            elif tscope.get(display):  # a predicate binder's key is apart from a term binder's
+                key = f.var if isinstance(f.sort, OfType) else ("pred", f.var)
+                display = scope.rename(display)
+                renamed.append((key, ren.get(key, f.var)))
+                ren[key] = display
+            sort = "*" if isinstance(f.sort, OfKindStar) else _sort(f.sort, st)
+            out.append(f"{st.forall}{_ident(display, st)}:{sort}. ")
             f = f.body
             continue
         if isinstance(f, And):
@@ -173,18 +187,14 @@ def _formula(f: Formula, st: _Style, top: bool, tscope: dict[str, int], ren: dic
         if not top:
             out.append("(")
             opened += 1
-        operand = _formula(left, st, False, tscope, ren)
+        operand = _formula(left, st, False, scope)
         if isinstance(f, Implies) and isinstance(left, Forall):
             operand = f"({operand})"
         out.append(operand + connective)
         f, top = right, False
-    if isinstance(f, Truth):
-        out.append(st.truth)
-    elif isinstance(f, PredApp):
-        head = _ident(ren.get(f.pred, f.pred), st)
-        out.append(f"({head}{st.sep}{_term(f.arg, st, ren)})")
-    else:
+    if not isinstance(f, PredApp):
         raise TypeError(f"not a formula: {f!r}")
+    out.append(f"({_ident(ren.get(('pred', f.pred), f.pred), st)}{st.sep}{_term(f.arg, st, ren)})")
     out.append(")" * opened)
     for name in types:
         tscope[name] -= 1
@@ -193,11 +203,11 @@ def _formula(f: Formula, st: _Style, top: bool, tscope: dict[str, int], ren: dic
 
 
 def render_text(f: Formula) -> str:
-    return _formula(f, _TEXT, True, {}, {})
+    return _formula(f, _TEXT, True, _Scope(f))
 
 
 def render_latex(f: Formula) -> str:
-    return _formula(f, _LATEX, True, {}, {})
+    return _formula(f, _LATEX, True, _Scope(f))
 
 
 # --- declaration source ---------------------------------------------------------
@@ -242,12 +252,9 @@ def _sx_formula(f: Formula) -> str:
         else:
             break
         opened += 1
-    if isinstance(f, Truth):
-        out.append("(true)")
-    elif isinstance(f, PredApp):
-        out.append(f"(pred {f.pred} {_sx_term(f.arg)})")
-    else:
+    if not isinstance(f, PredApp):
         raise TypeError(f"not a formula: {f!r}")
+    out.append(f"(pred {f.pred} {_sx_term(f.arg)})")
     out.append(")" * opened)
     return "".join(out)
 
@@ -353,8 +360,6 @@ class _SxParser(_Reader):
                 self.i = i + 1
                 f: Formula = PredApp(words[i], self.term())
                 i = self.i
-            elif tag == "true":
-                f = Truth()
             else:
                 self.bad_form(i - 1, "formula")
             while True:  # close the forms that `f` completes

@@ -50,7 +50,6 @@ from .core import (
     Principle,
     TApp,
     TVar,
-    Truth,
     Var,
 )
 from .generator import conjuncts, is_recursive_arg
@@ -383,8 +382,6 @@ class _RelativizedChecker:
     def _eval(self, f: Formula, assign: dict[str, int | str]) -> Optional[bool]:
         # None marks an instance that mentions a term outside the universe;
         # such instances are skipped rather than counted either way.
-        if isinstance(f, Truth):
-            return True
         if isinstance(f, PredApp):
             if f.pred != self.pred_name:
                 raise ValueError(f"unexpected predicate {f.pred!r} in clause")

@@ -28,12 +28,11 @@ from structind.core import (
     TApp,
     TupleType,
     TVar,
-    Truth,
     Var,
 )
 
 _TOKEN = re.compile(
-    r"""\\forall|\\wedge|\\Rightarrow|\\rightarrow|\\bot|\\top
+    r"""\\forall|\\wedge|\\Rightarrow|\\rightarrow|\\bot
         |\{\\mathbb\{B\}\}
         |[()*.:,]
         |(?P<stem>[A-Za-z](?:[A-Za-z0-9']|\\_)*)(?:_(?P<digits>\d+)|_\{(?P<braced>\d+)\})?
@@ -109,15 +108,12 @@ class _Reader:
         self.expect(".")
         return var, sort
 
-    # unit := \top | \forall binder. unit | ( predapp | unit | unit conn unit )
+    # unit := \forall binder. unit | ( predapp | unit | unit conn unit )
     def unit(self):
         tok = self.peek()
         if tok == "\\forall":
             var, sort = self.binder()
             return Forall(var, sort, self.unit())
-        if tok == "\\top":
-            self.advance()
-            return Truth()
         if tok == "(":
             self.advance()
             if self._is_name(self.peek()):

@@ -24,7 +24,6 @@ from structind.core import (
     PredOver,
     TApp,
     TVar,
-    Truth,
     Var,
 )
 from structind.generator import conjuncts
@@ -86,8 +85,6 @@ class _RelativizedChecker:
     def _eval(self, f: Formula, assign: dict[str, GroundTerm]) -> Optional[bool]:
         # None marks an instance that mentions a term outside the universe;
         # such instances are skipped rather than counted either way.
-        if isinstance(f, Truth):
-            return True
         if isinstance(f, PredApp):
             if f.pred != self.pred_name:
                 raise ValueError(f"unexpected predicate {f.pred!r} in clause")

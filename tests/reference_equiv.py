@@ -25,7 +25,6 @@ from structind.core import (
     Term,
     TApp,
     TVar,
-    Truth,
     TupleType,
     TypeExpr,
     Var,
@@ -96,8 +95,6 @@ def _alpha_sort(s1: Sort, s2: Sort, env1: _Env, env2: _Env) -> bool:
 
 
 def _alpha_formula(f1: Formula, f2: Formula, env1: _Env, env2: _Env, depth: int) -> bool:
-    if isinstance(f1, Truth) and isinstance(f2, Truth):
-        return True
     if isinstance(f1, PredApp) and isinstance(f2, PredApp):
         return _alpha_name("pred", f1.pred, f2.pred, env1, env2) and _alpha_term(
             f1.arg, f2.arg, env1, env2
@@ -158,8 +155,6 @@ def _ppe_formula(f1: Formula, f2: Formula, env1: _Env, env2: _Env, depth: int) -
         if len(run1) != len(run2):
             return False
         return _match_runs(run1, body1, run2, body2, env1, env2, depth)
-    if isinstance(f1, Truth) and isinstance(f2, Truth):
-        return True
     if isinstance(f1, PredApp) and isinstance(f2, PredApp):
         return _alpha_name("pred", f1.pred, f2.pred, env1, env2) and _alpha_term(
             f1.arg, f2.arg, env1, env2

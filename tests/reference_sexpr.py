@@ -29,7 +29,6 @@ from structind.core import (
     TupleType,
     TVar,
     Term,
-    Truth,
     TypeExpr,
     Var,
 )
@@ -145,8 +144,6 @@ class _SxParser(_Reader):
             if tag == "pred":
                 name = atom("a predicate name")
                 f: Formula = PredApp(name, self.term())
-            elif tag == "true":
-                f = Truth()
             else:
                 raise ParseError(self.pos(self.i - 1), f"unknown formula form {tag!r}")
             close()

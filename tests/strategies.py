@@ -17,7 +17,6 @@ from structind.core import (
     PredOver,
     TApp,
     TVar,
-    Truth,
     TupleType,
     Var,
 )
@@ -152,12 +151,8 @@ _BINDERS = st.one_of(lower_names(), _PREDS)
 
 
 def formulas():
-    base = st.one_of(
-        st.just(Truth()),
-        st.builds(PredApp, _PREDS, terms()),
-    )
     return st.recursive(
-        base,
+        st.builds(PredApp, _PREDS, terms()),
         lambda sub: st.one_of(
             st.builds(And, sub, sub),
             st.builds(Implies, sub, sub),

@@ -340,6 +340,39 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("structind: error: <stdin>: not UTF-8 text")
 
+    @pytest.fixture
+    def read(self, tmp_path, monkeypatch, capsys):
+        """Exit code, stdout and stderr of `--check` on some bytes, from a file or from stdin."""
+
+        def read(data, from_file):
+            path = tmp_path / "decl.hs"
+            path.write_bytes(data)
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            code = cli.main(["--check", str(path)] if from_file else ["--check"])
+            return code, *capsys.readouterr()
+
+        return read
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    @pytest.mark.parametrize("source", [corpus.NAT + "\n" + corpus.LIST, "data T = C |\n"])
+    def test_a_leading_byte_order_mark_is_skipped(self, read, source, from_file):
+        plain = read(source.encode(), from_file)
+        assert plain[0] == (0 if "Nat" in source else 1)
+        assert read(b"\xef\xbb\xbf" + source.encode(), from_file) == plain
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    @pytest.mark.parametrize(
+        "source, column", [("data T = C\ufeff\n", 11), ("\ufeff\ufeffdata T = C\n", 1)]
+    )
+    def test_any_other_byte_order_mark_is_a_positioned_error(
+        self, read, tmp_path, source, column, from_file
+    ):
+        name = tmp_path / "decl.hs" if from_file else "<stdin>"
+        assert read(source.encode(), from_file) == (
+            1, "", f"{name}:1:{column}: error: unexpected character '\\ufeff'\n"
+        )
+
     @pytest.mark.parametrize("failing", ["write", "flush"])
     def test_failed_stdout_write(self, failing, monkeypatch, capsys):
         def fail(*args):

@@ -12,6 +12,7 @@ from structind.core import (
     And,
     App,
     Arrow,
+    BOTTOM,
     Bottom,
     ConstructorDecl,
     DataDecl,
@@ -26,7 +27,6 @@ from structind.core import (
     TApp,
     TupleType,
     TVar,
-    Truth,
     Var,
     _binder_namespace,
     _sort_type_vars,
@@ -40,6 +40,8 @@ from structind.core import (
 from structind.generator import is_recursive_arg
 
 NAT = App("Nat")
+# A closed leaf that names no binder of these tests.
+LEAF = PredApp("R", BOTTOM)
 
 
 def nat_principle(step_var="n1", concl_var="n"):
@@ -152,10 +154,10 @@ class TestFreeVars:
         assert free_vars(PredApp("P", TVar("x"))) == {"P", "x"}
 
     def test_type_var_in_sort(self):
-        f = Forall("x", OfType(Var("a")), Truth())
-        assert free_vars(f) == {"a"}
+        f = Forall("x", OfType(Var("a")), LEAF)
+        assert free_vars(f) == {"R", "a"}
         g = Forall("a", OF_KIND_STAR, f)
-        assert free_vars(g) == set()
+        assert free_vars(g) == {"R"}
 
     def test_namespaces_are_disjoint(self):
         # A term binder named "a" does not bind the type variable "a".
@@ -181,14 +183,14 @@ class TestAlphaEq:
         assert alpha_eq(nat_principle("n1", "n"), nat_principle("k1", "k"))
 
     def test_binder_order_matters(self):
-        f = Forall("x", OfType(Var("a")), Forall("y", OfType(NAT), Truth()))
-        g = Forall("y", OfType(NAT), Forall("x", OfType(Var("a")), Truth()))
+        f = Forall("x", OfType(Var("a")), Forall("y", OfType(NAT), LEAF))
+        g = Forall("y", OfType(NAT), Forall("x", OfType(Var("a")), LEAF))
         assert not alpha_eq(f, g)
         assert prefix_perm_eq(f, g)
 
     def test_sorts_must_match(self):
-        f = Forall("x", OfType(NAT), Truth())
-        g = Forall("x", OfType(App("Bool")), Truth())
+        f = Forall("x", OfType(NAT), LEAF)
+        g = Forall("x", OfType(App("Bool")), LEAF)
         assert not alpha_eq(f, g)
 
     def test_shadowing(self):
@@ -263,33 +265,33 @@ class TestPrefixPermEq:
 
     def test_dependent_binders_do_not_commute(self):
         # x's sort references the type variable a, so the pair cannot swap.
-        f = Forall("a", OF_KIND_STAR, Forall("x", OfType(Var("a")), Truth()))
-        g = Forall("x", OfType(Var("a")), Forall("a", OF_KIND_STAR, Truth()))
+        f = Forall("a", OF_KIND_STAR, Forall("x", OfType(Var("a")), LEAF))
+        g = Forall("x", OfType(Var("a")), Forall("a", OF_KIND_STAR, LEAF))
         assert not prefix_perm_eq(f, g)
 
     def test_binder_must_not_disappear(self):
-        f = Forall("x", OfType(NAT), Truth())
-        assert not prefix_perm_eq(f, Truth())
+        f = Forall("x", OfType(NAT), LEAF)
+        assert not prefix_perm_eq(f, LEAF)
         assert not prefix_perm_eq(f, Forall("x", OfType(NAT), f))
 
     def test_runs_inside_clauses(self):
-        left = Forall("x", OfType(NAT), Forall("y", OfType(App("Bool")), Truth()))
-        right = Forall("y", OfType(App("Bool")), Forall("x", OfType(NAT), Truth()))
-        assert prefix_perm_eq(And(left, Truth()), And(right, Truth()))
+        left = Forall("x", OfType(NAT), Forall("y", OfType(App("Bool")), LEAF))
+        right = Forall("y", OfType(App("Bool")), Forall("x", OfType(NAT), LEAF))
+        assert prefix_perm_eq(And(left, LEAF), And(right, LEAF))
 
     def test_binders_move_past_the_ones_they_commute_with(self):
         # P's sort mentions b, so b cannot move outward past P, but a can;
         # the leading runs of f and g split at different binders.
         sort = OfType(App("A", (Var("b"),)))
-        f = Forall("P", sort, Forall("b", OF_KIND_STAR, Forall("a", OF_KIND_STAR, Truth())))
-        g = Forall("P", sort, Forall("a", OF_KIND_STAR, Forall("b", OF_KIND_STAR, Truth())))
-        h = Forall("b", OF_KIND_STAR, Forall("P", sort, Forall("a", OF_KIND_STAR, Truth())))
+        f = Forall("P", sort, Forall("b", OF_KIND_STAR, Forall("a", OF_KIND_STAR, LEAF)))
+        g = Forall("P", sort, Forall("a", OF_KIND_STAR, Forall("b", OF_KIND_STAR, LEAF)))
+        h = Forall("b", OF_KIND_STAR, Forall("P", sort, Forall("a", OF_KIND_STAR, LEAF)))
         assert prefix_perm_eq(f, g) and prefix_perm_eq(g, f)
         assert not prefix_perm_eq(f, h) and not prefix_perm_eq(h, f)
 
     def test_contains_alpha_eq_with_a_shadowed_binder(self):
-        f = Forall("k", OF_KIND_STAR, Forall("Q", OF_KIND_STAR, Forall("k", OF_KIND_STAR, Truth())))
-        g = Forall("i", OF_KIND_STAR, Forall("Q", OF_KIND_STAR, Forall("k", OF_KIND_STAR, Truth())))
+        f = Forall("k", OF_KIND_STAR, Forall("Q", OF_KIND_STAR, Forall("k", OF_KIND_STAR, LEAF)))
+        g = Forall("i", OF_KIND_STAR, Forall("Q", OF_KIND_STAR, Forall("k", OF_KIND_STAR, LEAF)))
         assert alpha_eq(f, g) and prefix_perm_eq(f, g)
 
     def test_contains_alpha_eq_on_distinct_binders(self):
@@ -335,7 +337,7 @@ class TestUnusedBinderSearch:
     @pytest.mark.parametrize("n", [8, 30])
     def test_one_unused_binder_of_another_sort(self, monkeypatch, n):
         nat, m, k = OfType(NAT), OfType(App("M")), OfType(App("K"))
-        f, g = Truth(), Truth()
+        f, g = LEAF, LEAF
         for i in range(n):
             f, g = Forall(f"x{i}", nat, f), Forall(f"y{i}", nat, g)
         f, g = Forall("u", m, f), Forall("u", k, g)
@@ -345,9 +347,9 @@ class TestUnusedBinderSearch:
     def test_bound_type_variables_are_erased(self, monkeypatch):
         # x and y read different type binders, which pair only in the search.
         star = OF_KIND_STAR
-        f = Forall("a", star, Forall("b", star, Forall("x", OfType(Var("a")), Truth())))
-        g = Forall("b", star, Forall("a", star, Forall("y", OfType(Var("a")), Truth())))
+        f = Forall("a", star, Forall("b", star, Forall("x", OfType(Var("a")), LEAF)))
+        g = Forall("b", star, Forall("a", star, Forall("y", OfType(Var("a")), LEAF)))
         assert prefix_perm_eq(f, g) and prefix_perm_eq(g, f)
         # Free type variables keep their names.
-        c, d = (Forall("x", OfType(Var(v)), Truth()) for v in "cd")
+        c, d = (Forall("x", OfType(Var(v)), LEAF) for v in "cd")
         self.assert_no_pairing(monkeypatch, lambda: not prefix_perm_eq(c, d))

@@ -19,6 +19,7 @@ from structind import core
 from structind.core import (
     And,
     App,
+    BOTTOM,
     Forall,
     Formula,
     Implies,
@@ -27,7 +28,6 @@ from structind.core import (
     PredApp,
     PredOver,
     TVar,
-    Truth,
     Var,
     alpha_eq,
     free_vars,
@@ -66,6 +66,9 @@ def assert_agrees(f: Formula, g: Formula) -> None:
     assert prefix_perm_eq(f, g) == reference_equiv.prefix_perm_eq(f, g), (f, g)
 
 
+# A closed leaf that names no binder of these tests.
+LEAF = PredApp("Q", BOTTOM)
+
 # Few names and sorts, so that chains often bind one name twice, bind
 # binders that nothing uses, and have sorts that mention their type binders.
 _NAMES = ("x", "y", "a", "b", "P")
@@ -89,14 +92,14 @@ def adversarial_formula(rng: random.Random, nested: bool = True) -> Formula:
     atoms = [
         PredApp(rng.choice(("P", "Q")), TVar(rng.choice(_NAMES))) for _ in range(rng.randint(0, 3))
     ]
-    body = Truth()
+    body = LEAF
     for atom in atoms:
         body = And(atom, body)
     roll = rng.random() if nested else 1
     if roll < 0.3:
         chain = [("a", OF_KIND_STAR), ("b", OF_KIND_STAR)] + chain[:3]
         inner = [(rng.choice(_NAMES), rng.choice(_SORTS[1:3])) for _ in range(rng.randint(1, 4))]
-        body = Implies(close_over(inner, Truth()), body)
+        body = Implies(close_over(inner, LEAF), body)
     elif roll < 0.6:
         body = Implies(adversarial_formula(rng, nested=False), body)
     return close_over(chain, body)
@@ -148,9 +151,9 @@ class TestAgainstReference:
 
 
 def _and_chain(n: int) -> Formula:
-    f = Truth()
+    f = LEAF
     for _ in range(n):
-        f = And(Truth(), f)
+        f = And(LEAF, f)
     return f
 
 
@@ -160,14 +163,14 @@ class TestNoRecursion:
         assert alpha_eq(f, g) and prefix_perm_eq(f, g)
         assert not alpha_eq(f, _and_chain(1199)) and not prefix_perm_eq(f, _and_chain(1199))
         kinds = [type(sub) for sub in subformulas(f)]
-        assert kinds == [And, Truth] * 1200 + [Truth]
+        assert kinds == [And, PredApp] * 1200 + [PredApp]
 
     def test_left_nested_and_chain(self):
-        f = Truth()
+        f = LEAF
         for _ in range(1200):
             f = And(f, PredApp("P", TVar("x")))
         assert alpha_eq(f, f) and prefix_perm_eq(f, f)
-        assert free_vars(f) == {"P", "x"}
+        assert free_vars(f) == {"P", "Q", "x"}
         assert sum(1 for _ in subformulas(f)) == 2401
 
     def test_wide_constructor_principle(self):
@@ -223,8 +226,8 @@ class TestNoRecursion:
 
     def test_unused_same_sort_binders_pair_in_order(self, monkeypatch):
         nat = OfType(App("N"))
-        f = close_over([(f"x{i}", nat) for i in range(12)], Truth())
-        g = close_over([(f"y{i}", nat) for i in reversed(range(12))], Truth())
+        f = close_over([(f"x{i}", nat) for i in range(12)], LEAF)
+        g = close_over([(f"y{i}", nat) for i in reversed(range(12))], LEAF)
         assert pairings(monkeypatch, lambda: prefix_perm_eq(f, g)) <= 12 * 12
 
 
@@ -245,7 +248,7 @@ class TestNestedRuns:
     star, a, b = OF_KIND_STAR, OfType(Var("a")), OfType(Var("b"))
 
     def nested(self, outer, inner) -> Formula:
-        return close_over(outer, Implies(close_over(inner, Truth()), Truth()))
+        return close_over(outer, Implies(close_over(inner, LEAF), LEAF))
 
     @pytest.mark.parametrize(
         "outer2, inner2, equivalent",

@@ -157,14 +157,21 @@ def test_declaration_edge_cases(text):
     [
         "",
         "; only a comment",
+        "(pred Q (bottom)) ; a trailing comment without a newline",
+        "(and (pred Q (bottom)) ; nothing after the comment",
+        "(pred Q (bottom))\n; last line",
+        # No formula form is called `true`: both readers refuse it at the
+        # same position, whatever follows.
+        "(true)",
         "(true) ; a trailing comment without a newline",
         "(and (true) ; nothing after the comment",
         "(true)\n; last line",
+        "(forall (x (ty (var a))) (true)",
         "(pred\tP\r(var x))",
         "(pred P (var x)) junk",
-        "(forall (x (ty (var a))) (true)",
+        "(forall (x (ty (var a))) (pred Q (bottom))",
         "(bogus)",
-        "(forall (x (ty (tuple (var a)))) (true))",
+        "(forall (x (ty (tuple (var a)))) (true))",  # refused at the tuple, before the leaf
         "(pred P (app Ö (var ä)))",
         "(pred P (var x y))",
     ],
@@ -178,7 +185,7 @@ def test_end_of_input_after_a_comment_sits_at_the_comment():
         parse_decl("data T =  -- c")
     assert (err.value.pos.line, err.value.pos.column) == (1, 11)
     with pytest.raises(ParseError) as err:
-        parse_sexpr("(true\n\t; c")
+        parse_sexpr("(pred Q (bottom)\n\t; c")
     assert (err.value.pos.line, err.value.pos.column) == (2, 2)
 
 

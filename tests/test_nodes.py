@@ -29,7 +29,6 @@ from structind.core import (
     TApp,
     TupleType,
     TVar,
-    Truth,
     Var,
 )
 from structind.generator import GenOptions, induction_principle
@@ -42,6 +41,10 @@ _NAT_DECL_REPR = (
     "DataDecl(type_name='Nat', type_params=(), constructors=(ConstructorDecl(name='Z', "
     "arg_types=()), ConstructorDecl(name='S', arg_types=(App(head='Nat', args=()),))))"
 )
+
+# A closed formula leaf, and its repr.
+_LEAF = PredApp("Q", core.BOTTOM)
+_LEAF_REPR = "PredApp(pred='Q', arg=Bottom())"
 
 # Per node class: the fields of one node, in order, and that node's repr.
 NODES = {
@@ -72,21 +75,20 @@ NODES = {
     OfKindStar: ({}, "OfKindStar()"),
     OfType: ({"ty": Var("a")}, "OfType(ty=Var(name='a'))"),
     PredOver: ({"ty": App("Nat")}, "PredOver(ty=App(head='Nat', args=()))"),
-    Truth: ({}, "Truth()"),
     PredApp: ({"pred": "P", "arg": TVar("x")}, "PredApp(pred='P', arg=TVar(name='x'))"),
-    And: ({"left": Truth(), "right": Truth()}, "And(left=Truth(), right=Truth())"),
+    And: ({"left": _LEAF, "right": _LEAF}, f"And(left={_LEAF_REPR}, right={_LEAF_REPR})"),
     Implies: (
-        {"antecedent": Truth(), "consequent": PredApp("P", core.BOTTOM)},
-        "Implies(antecedent=Truth(), consequent=PredApp(pred='P', arg=Bottom()))",
+        {"antecedent": _LEAF, "consequent": PredApp("P", core.BOTTOM)},
+        f"Implies(antecedent={_LEAF_REPR}, consequent=PredApp(pred='P', arg=Bottom()))",
     ),
     Forall: (
-        {"var": "a", "sort": core.OF_KIND_STAR, "body": Truth()},
-        "Forall(var='a', sort=OfKindStar(), body=Truth())",
+        {"var": "a", "sort": core.OF_KIND_STAR, "body": _LEAF},
+        f"Forall(var='a', sort=OfKindStar(), body={_LEAF_REPR})",
     ),
     Principle: (
-        {"decl": _NAT_DECL, "pointed": False, "formula": Truth(), "clauses": (("Z", Truth()),)},
-        f"Principle(decl={_NAT_DECL_REPR}, pointed=False, formula=Truth(), "
-        "clauses=(('Z', Truth()),))",
+        {"decl": _NAT_DECL, "pointed": False, "formula": _LEAF, "clauses": (("Z", _LEAF),)},
+        f"Principle(decl={_NAT_DECL_REPR}, pointed=False, formula={_LEAF_REPR}, "
+        f"clauses=(('Z', {_LEAF_REPR}),))",
     ),
 }
 
@@ -142,7 +144,7 @@ class TestNodeContract:
 
 def test_equality_needs_the_same_class():
     assert Var("a") != TVar("a") and App("T") != TApp("T")
-    assert Truth() == Truth() and Truth() != Bottom() and OfKindStar() != Bottom()
+    assert Bottom() == Bottom() and OfKindStar() != Bottom()
 
 
 def test_field_defaults_and_types_are_those_of_the_signature():

@@ -27,7 +27,6 @@ PUBLIC_NAMES = {
     "TApp",
     "TVar",
     "Term",
-    "Truth",
     "TupleType",
     "TypeExpr",
     "Var",

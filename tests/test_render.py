@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 import corpus
 import reference_source
 import strategies
-from formula_shape import alternating_chain
+from formula_shape import alternating_chain, subformulas
 from latex_reader import parse_latex
 from line_count import lines_run
 from structind.core import (
     And,
     App,
     Arrow,
+    BOTTOM,
     Bottom,
     Forall,
     Implies,
@@ -27,8 +28,8 @@ from structind.core import (
     TApp,
     TupleType,
     TVar,
-    Truth,
     Var,
+    alpha_eq,
     free_vars,
 )
 from structind import render
@@ -88,9 +89,6 @@ class TestRenderText:
         text = render_text(principle_for(corpus.NAT, pointed=True).formula)
         assert "((P ⊥) ∧ ((P Z) ∧ " in text
 
-    def test_truth(self):
-        assert render_text(Truth()) == "⊤"
-
     def test_quantified_antecedent_is_parenthesized(self):
         assert render_text(principle_for(ONE_CONSTRUCTOR["Box"]).formula) == (
             "∀P:Box → \U0001d539. (∀b1:Box. ((P b1) ⇒ (P (Box b1)))) ⇒ ∀b:Box. (P b)"
@@ -131,6 +129,54 @@ class TestRenderText:
         call = functools.partial(render_text, alternating_chain(n, term))
         text = lines_run({render.__file__}, call, 100 * n)
         assert text.startswith("∀a1:*. ∀") and text.count(":*. ") == text.count("(P ") == n
+
+
+# Declarations whose term binders shadow type parameters, with each renamed
+# binder and the name it is shown with, in binder order.
+SHADOWING = {
+    "data T x1 = C" + " x1" * 10: [("x1", "x100")],
+    "data T x1 x10 = C" + " x1" * 10: [("x1", "x100"), ("x10", "x1000")],
+    "data B a b = MkB a (B a b)": [("b", "b0")],
+}
+
+
+class TestDisplayNames:
+    """A renamed binder is shown with a name that no other variable of the
+    formula has or is shown with, so the text denotes the formula."""
+
+    FORMULAS = {
+        **{source: principle_for(source).formula for source in SHADOWING},
+        "alternating chain": alternating_chain(10, "a"),
+        # A predicate binder and a term binder of one name, both shadowing a type variable.
+        "one name in two namespaces": Forall(
+            "a",
+            OF_KIND_STAR,
+            Forall("a", PredOver(Var("a")), Forall("a", OfType(Var("a")), PredApp("a", TVar("a")))),
+        ),
+        **{
+            f"{name}{' pointed' * pointed}": principle_for(source, pointed).formula
+            for name, source in corpus.ALL.items()
+            for pointed in (False, True)
+        },
+    }
+
+    @pytest.mark.parametrize("source, renamed", SHADOWING.items())
+    def test_a_renamed_binder_is_shown_with_a_new_name(self, source, renamed):
+        formula = principle_for(source).formula
+        binders = [g.var for g in subformulas(formula) if isinstance(g, Forall)]
+        shown = re.findall(r"∀(\S+?):", render_text(formula))
+        assert [(b, s) for b, s in zip(binders, shown) if b != s] == renamed
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_latex_reads_back_to_the_formula(self, name):
+        # Braced subscripts are rewritten as perfbench/run.py rewrites them: x_{12} as x_12.
+        latex = re.sub(r"_\{(\d+)\}", r"_\1", render_latex(self.FORMULAS[name]))
+        assert alpha_eq(parse_latex(latex), self.FORMULAS[name])
+
+    def test_no_term_binder_of_a_chain_is_shown_with_a_type_binder_name(self):
+        text = render_text(alternating_chain(10, "a"))
+        types, terms = re.findall(r"∀(\S+?):\*", text), re.findall(r"∀(\S+?):a", text)
+        assert len(types) == len(terms) == 10 and not set(types) & set(terms)
 
 
 def _regex_ident(name):
@@ -223,11 +269,12 @@ class TestRenderLatex:
                 assert latex.count("{") == latex.count("}")
 
 
-class TestSexpr:
-    def test_truth(self):
-        assert render_sexpr(Truth()) == "(true)"
-        assert parse_sexpr("(true)") == Truth()
+# A closed leaf that names no binder of these tests, and its s-expression.
+LEAF = PredApp("Q", BOTTOM)
+SX_LEAF = "(pred Q (bottom))"
 
+
+class TestSexpr:
     def test_forall_shape(self):
         f = Forall("n", OfType(App("Nat")), PredApp("P", TVar("n")))
         s = render_sexpr(f)
@@ -235,7 +282,7 @@ class TestSexpr:
         assert parse_sexpr(s) == f
 
     def test_sort_forms(self):
-        f = Forall("a", OF_KIND_STAR, Forall("P", PredOver(Var("a")), Truth()))
+        f = Forall("a", OF_KIND_STAR, Forall("P", PredOver(Var("a")), LEAF))
         s = render_sexpr(f)
         assert "(kind-star)" in s and "(pred-over (var a))" in s
         assert parse_sexpr(s) == f
@@ -252,7 +299,7 @@ class TestSexpr:
         assert parse_sexpr(s) == f
 
     def test_comments_skipped(self):
-        assert parse_sexpr("; a comment\n(true) ; trailing") == Truth()
+        assert parse_sexpr(f"; a comment\n{SX_LEAF} ; trailing") == LEAF
 
     def test_no_renaming(self):
         formula = principle_for("data B a b = MkB a (B a b)").formula
@@ -266,10 +313,11 @@ class TestSexpr:
             ("", "expected '('"),
             ("(maybe x)", "unknown formula form"),
             ("(pred P)", "expected '('"),
-            ("(and (true))", "expected '('"),
-            ("(true) (true)", "expected end of input"),
-            ("(forall (x (ty (tuple (var a)))) (true))", "tuple type"),
-            ("(true", "expected ')'"),
+            ("(true)", "unknown formula form 'true'"),
+            (f"(and {SX_LEAF})", "expected '('"),
+            (f"{SX_LEAF} {SX_LEAF}", "expected end of input"),
+            ("(forall (x (ty (tuple (var a)))) (true))", "tuple type"),  # refused before the leaf
+            ("(pred Q (bottom)", "expected ')'"),
         ],
     )
     def test_malformed(self, text, fragment):
@@ -279,12 +327,13 @@ class TestSexpr:
 
     def test_error_position(self):
         cases = [
-            ("(and (true)\n  (oops))", 2, 4),
-            ("(forall (x (nope)) (true))", 1, 13),
-            ("(forall (x (ty (nope))) (true))", 1, 17),
-            ("(forall (x (ty (tuple (var a)))) (true))", 1, 17),
+            ("(true)", 1, 2),
+            (f"(and {SX_LEAF}\n  (oops))", 2, 4),
+            (f"(forall (x (nope)) {SX_LEAF})", 1, 13),
+            (f"(forall (x (ty (nope))) {SX_LEAF})", 1, 17),
+            (f"(forall (x (ty (tuple (var a)))) {SX_LEAF})", 1, 17),
             ("(pred P (nope))", 1, 10),
-            ("(true) (true)", 1, 8),
+            (f"{SX_LEAF} {SX_LEAF}", 1, 19),
         ]
         for text, line, column in cases:
             with pytest.raises(ParseError) as err:
@@ -303,7 +352,7 @@ class TestSexpr:
         assert parse_sexpr(render_sexpr(formula)) == formula
 
 
-def _chain(form, depth, leaf="(true)"):
+def _chain(form, depth, leaf=SX_LEAF):
     """`depth` copies of `form`, each holding the next as its last operand."""
     return form * depth + leaf + ")" * depth
 
@@ -317,7 +366,7 @@ class TestSexprNesting:
     @pytest.mark.parametrize(
         "form, node",
         [
-            ("(and (true) ", And),
+            (f"(and {SX_LEAF} ", And),
             ("(implies (pred P (var x)) ", Implies),
             ("(forall (x (ty (var a))) ", Forall),
         ],
@@ -327,14 +376,14 @@ class TestSexprNesting:
         for _ in range(1200):
             assert isinstance(f, node)
             f = f.consequent if node is Implies else f.body if node is Forall else f.right
-        assert f == Truth()
+        assert f == LEAF
 
     @pytest.mark.parametrize(
         "form, free",
         [
-            ("(and (true) ", set()),
-            ("(implies (pred P (var x)) ", {"P", "x"}),
-            ("(forall (x (ty (var a))) ", {"a"}),
+            (f"(and {SX_LEAF} ", {"Q"}),
+            ("(implies (pred P (var x)) ", {"P", "Q", "x"}),
+            ("(forall (x (ty (var a))) ", {"Q", "a"}),
         ],
     )
     def test_long_chains_render_and_analyse(self, form, free):
@@ -345,20 +394,21 @@ class TestSexprNesting:
         assert render_text(f) and render_latex(f)
 
     def test_long_and_chain_text_and_latex(self):
-        f = parse_sexpr(_chain("(and (true) ", 1200))
-        assert render_text(f) == "⊤ ∧ (" * 1199 + "⊤ ∧ ⊤" + ")" * 1199
-        assert render_latex(f) == "\\top \\wedge (" * 1199 + "\\top \\wedge \\top" + ")" * 1199
+        f = parse_sexpr(_chain(f"(and {SX_LEAF} ", 1200))
+        assert render_text(f) == "(Q ⊥) ∧ (" * 1199 + "(Q ⊥) ∧ (Q ⊥)" + ")" * 1199
+        leaf = "(Q\\; \\bot)"
+        assert render_latex(f) == f"{leaf} \\wedge (" * 1199 + f"{leaf} \\wedge {leaf}" + ")" * 1199
 
     def test_left_nested_chain_reads_back(self):
-        f = parse_sexpr("(and " * 1200 + "(true)" + " (true))" * 1200)
+        f = parse_sexpr("(and " * 1200 + SX_LEAF + f" {SX_LEAF})" * 1200)
         for _ in range(1200):
-            assert isinstance(f, And) and f.right == Truth()
+            assert isinstance(f, And) and f.right == LEAF
             f = f.left
-        assert f == Truth()
+        assert f == LEAF
 
     def test_errors_inside_a_long_chain_keep_their_position(self):
         with pytest.raises(ParseError) as err:
-            parse_sexpr("(and (true)\n" * 1200 + "(oops))")
+            parse_sexpr(f"(and {SX_LEAF}\n" * 1200 + "(oops))")
         assert (err.value.pos.line, err.value.pos.column) == (1201, 2)
         assert err.value.message == "unknown formula form 'oops'"
 
@@ -368,7 +418,7 @@ class TestSexprNesting:
     )
     def test_types_at_the_cap_read_back(self, form, leaf):
         ty = _chain(form, MAX_SEXPR_NESTING - 1, leaf)
-        assert parse_sexpr(f"(forall (x (ty {ty})) (true))") is not None
+        assert parse_sexpr(f"(forall (x (ty {ty})) {SX_LEAF})") is not None
 
     def test_terms_at_the_cap_read_back(self):
         assert parse_sexpr(f"(pred P {_chain('(app S ', MAX_SEXPR_NESTING - 1, '(var x)')})")
@@ -376,8 +426,8 @@ class TestSexprNesting:
     @pytest.mark.parametrize(
         "prefix, form, leaf, suffix",
         [
-            ("(forall (x (ty ", "(app L ", "(var a)", ")) (true))"),
-            ("(forall (P (pred-over ", "(app L ", "(var a)", ")) (true))"),
+            ("(forall (x (ty ", "(app L ", "(var a)", f")) {SX_LEAF})"),
+            ("(forall (P (pred-over ", "(app L ", "(var a)", f")) {SX_LEAF})"),
             ("(pred P ", "(app S ", "(var x)", ")"),
         ],
     )
@@ -450,7 +500,7 @@ class TestNotAType:
     @pytest.mark.parametrize("ty", [SORT, App("List", (SORT,)), TupleType((Var("a"), SORT))])
     def test_in_a_binder_sort(self, render, ty):
         with pytest.raises(TypeError, match=re.escape(f"not a type: {self.SORT!r}")):
-            render(Forall("x", OfType(ty), Truth()))
+            render(Forall("x", OfType(ty), LEAF))
 
     @pytest.mark.parametrize("ty", [SORT, App("List", (SORT,)), Arrow(Var("a"), SORT)])
     def test_in_type_source(self, ty):

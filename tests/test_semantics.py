@@ -28,7 +28,6 @@ from structind.core import (
     Principle,
     TApp,
     TVar,
-    Truth,
     Var,
 )
 from structind.generator import GenOptions, assemble, induction_principle
@@ -486,7 +485,7 @@ class TestSoundness:
     @pytest.mark.parametrize(
         "formula, message",
         [
-            (Truth(), NO_BINDER),
+            (PredApp("Q", BOTTOM), NO_BINDER),
             (Forall("n", OfType(NAT_TYPE), PredApp("P", TVar("n"))), NO_BINDER),
             (
                 Forall("P", PredOver(NAT_TYPE), CLAUSE),
@@ -529,7 +528,10 @@ class TestSoundness:
                 Forall(
                     "P",
                     PredOver(NAT_TYPE),
-                    Implies(CLAUSE, Forall("n", OfType(NAT_TYPE), And(PredApp("P", TVar("n")), Truth()))),
+                    Implies(
+                        CLAUSE,
+                        Forall("n", OfType(NAT_TYPE), And(PredApp("P", TVar("n")), PredApp("Q", BOTTOM))),
+                    ),
                 ),
                 NO_CONCLUSION,
             ),
@@ -694,8 +696,9 @@ class TestCheckerOracle:
     @pytest.mark.parametrize(
         "clause",
         [
-            Truth(),
-            Implies(Truth(), PredApp("P", TApp("Z"))),
+            # A clause that every predicate satisfies, and one equivalent to (P Z).
+            Implies(PredApp("P", TApp("Z")), PredApp("P", TApp("Z"))),
+            And(PredApp("P", TApp("Z")), PredApp("P", TApp("Z"))),
             # The right conjunct leaves the universe below depth 3.
             Forall(
                 "n",

@@ -44,6 +44,12 @@ def test_corpus_principles_read_the_same():
         assert parse_sexpr(text) == reference_sexpr.parse_sexpr(text)
 
 
+def test_true_is_an_unknown_formula_form():
+    assert_same_reading("(true)")
+    _, pos, message, _ = _outcome(parse_sexpr, "(true)")
+    assert (pos.line, pos.column, message) == (1, 2, "unknown formula form 'true'")
+
+
 @given(strategies.formulas())
 @settings(max_examples=300, deadline=None)
 def test_generated_formulas_read_the_same(f):
@@ -76,10 +82,12 @@ def _edit(rng, text):
 # Short bases keep the 20,000 edits quick: each error rescans the text for
 # its position.
 _BASES = [text for text in _PRINCIPLES if len(text) < 700] + [
-    "(true)",
+    "(pred Q (bottom))",
     "(pred P (app S (var n1)))",
-    "(forall (a (kind-star)) (forall (x (ty (tuple (var a) (arrow (app N) (var a))))) (true)))",
-    "; header\n(and (pred Q (bottom)) (implies (true) (pred P (app C (var x) (bottom)))))",
+    "(forall (a (kind-star)) (forall (x (ty (tuple (var a) (arrow (app N) (var a)))))"
+    " (pred Q (bottom))))",
+    "; header\n(and (pred Q (bottom))"
+    " (implies (pred R (bottom)) (pred P (app C (var x) (bottom)))))",
 ]
 
 
